@@ -7,11 +7,11 @@
 //! are bit-exact against scalar `fixed` frame by frame before timing
 //! anything, and writes the measured numbers to `BENCH_A10.json` at the
 //! workspace root. The acceptance bar is >= 8x frames/sec over scalar
-//! `fixed`; run with `--features simd` to measure the SSE4.1 mirror
-//! (reported in the JSON's `simd` flag).
+//! `fixed`. The default build runs the SSE4.1 mirror wherever the CPU
+//! has it (reported in the JSON's `simd` flag and `build` object).
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use ldpc_bench::{announce, frames_per_sec, noisy_frames};
+use ldpc_bench::{announce, build_json, frames_per_sec, noisy_frames};
 use ldpc_core::codes::{ccsds_c2, small::demo_code};
 use ldpc_core::{
     decode_frames, BatchDecoder, BatchFixedDecoder, FixedConfig, FixedDecoder, PackedFixedDecoder,
@@ -82,7 +82,7 @@ fn regenerate_a10() -> A10Numbers {
         batch_fps / fixed_fps
     );
     println!(
-        "  fixed@pack=8 (SWAR): {packed_fps:>8.1} fr/s = {:.2}x fixed, {:.2}x batch (all {total} frames bit-exact)",
+        "  fixed@pack=8       : {packed_fps:>8.1} fr/s = {:.2}x fixed, {:.2}x batch (all {total} frames bit-exact)",
         packed_fps / fixed_fps,
         packed_fps / batch_fps,
     );
@@ -99,7 +99,7 @@ fn regenerate_a10() -> A10Numbers {
 /// (hand-rolled JSON — the workspace vendors no serializer).
 fn write_json(n: &A10Numbers) {
     let json = format!(
-        "{{\n  \"experiment\": \"A10\",\n  \"code\": \"c2\",\n  \"channel\": \"awgn\",\n  \"ebn0_db\": 4.0,\n  \"iterations\": {iters},\n  \"frames\": {frames},\n  \"lanes\": {lanes},\n  \"simd\": {simd},\n  \"frames_per_sec\": {{\"fixed\": {fixed:.1}, \"fixed@batch=8\": {batch:.1}, \"fixed@pack=8\": {packed:.1}}},\n  \"speedup\": {{\"vs_fixed\": {su_f:.2}, \"vs_batch\": {su_b:.2}}},\n  \"bit_exact_frames\": {frames}\n}}\n",
+        "{{\n  \"experiment\": \"A10\",\n  \"code\": \"c2\",\n  \"channel\": \"awgn\",\n  \"ebn0_db\": 4.0,\n  \"iterations\": {iters},\n  \"frames\": {frames},\n  \"lanes\": {lanes},\n  \"simd\": {simd},\n  \"frames_per_sec\": {{\"fixed\": {fixed:.1}, \"fixed@batch=8\": {batch:.1}, \"fixed@pack=8\": {packed:.1}}},\n  \"speedup\": {{\"vs_fixed\": {su_f:.2}, \"vs_batch\": {su_b:.2}}},\n  \"bit_exact_frames\": {frames},\n  \"build\": {build}\n}}\n",
         iters = ITERS,
         frames = n.frames,
         lanes = PACK_LANES,
@@ -109,6 +109,7 @@ fn write_json(n: &A10Numbers) {
         packed = n.packed_fps,
         su_f = n.packed_fps / n.fixed_fps,
         su_b = n.packed_fps / n.batch_fps,
+        build = build_json(),
     );
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_A10.json");
     std::fs::write(path, json).expect("write BENCH_A10.json");

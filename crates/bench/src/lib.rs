@@ -12,7 +12,7 @@
 use gf2::BitVec;
 use ldpc_channel::AwgnChannel;
 use ldpc_core::codes::small::demo_code;
-use ldpc_core::LdpcCode;
+use ldpc_core::{LdpcCode, PackedFixedDecoder};
 use ldpc_sim::{MonteCarloConfig, Transmission};
 use std::sync::Arc;
 
@@ -70,6 +70,29 @@ pub fn frames_per_sec(total_frames: usize, mut run: impl FnMut()) -> f64 {
     total_frames as f64 / start.elapsed().as_secs_f64()
 }
 
+/// Provenance of the build a bench measured, as the JSON `build` object
+/// of its `BENCH_*.json`: cargo features (the workspace crates define
+/// none, so the list is empty), whether the packed decoder's SSE4.1
+/// path runs on this host, the target architecture, and the checkout's
+/// git revision (`-dirty` with uncommitted changes, `unknown` outside a
+/// git checkout).
+pub fn build_json() -> String {
+    let rev = std::process::Command::new("git")
+        .args(["describe", "--always", "--dirty", "--abbrev=12"])
+        .current_dir(env!("CARGO_MANIFEST_DIR"))
+        .output()
+        .ok()
+        .filter(|out| out.status.success())
+        .and_then(|out| String::from_utf8(out.stdout).ok())
+        .map(|rev| rev.trim().to_string())
+        .unwrap_or_else(|| "unknown".to_string());
+    format!(
+        "{{\"features\": [], \"simd_active\": {}, \"target_arch\": \"{}\", \"git_rev\": \"{rev}\"}}",
+        PackedFixedDecoder::simd_active(),
+        std::env::consts::ARCH,
+    )
+}
+
 /// The demo code's length, for sizing workloads.
 pub fn demo_n() -> usize {
     demo_code().n()
@@ -85,5 +108,13 @@ mod tests {
         assert!(c.max_frames >= 1_000);
         let c2 = c2_mc_config(4.0, 18);
         assert!(c2.max_frames <= 100);
+    }
+
+    #[test]
+    fn build_json_names_every_provenance_field() {
+        let json = build_json();
+        for key in ["features", "simd_active", "target_arch", "git_rev"] {
+            assert!(json.contains(&format!("\"{key}\": ")), "{json}");
+        }
     }
 }

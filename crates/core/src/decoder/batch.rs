@@ -104,14 +104,11 @@ pub(super) trait BatchPhases {
     /// Runs one check-node + bit-node iteration over the active lanes.
     fn run_phases(&mut self, iter: u32, frames: usize, state: &BatchState);
 
-    /// Called right before [`hard_frame`](Self::hard_frame) is read for
-    /// frame `f`, so engines that keep hard decisions in a transposed
-    /// layout can materialize just that frame on demand instead of
-    /// re-transposing every frame every iteration. Default: no-op.
-    fn materialize_hard(&mut self, _f: usize) {}
-
-    /// Hard-decision slice of frame `f` after the last iteration.
-    fn hard_frame(&self, f: usize) -> &[u8];
+    /// Hard decision of frame `f` after the last iteration. Called once
+    /// per frame per decode, when the frame's result is snapshotted, so
+    /// engines that keep hard decisions in a transposed layout extract
+    /// just that frame instead of re-transposing every iteration.
+    fn hard_decision(&self, f: usize) -> BitVec;
 
     /// Whether the hard decision of frame `f` satisfies every check.
     fn syndrome_ok_frame(&self, f: usize) -> bool;
@@ -148,9 +145,8 @@ pub(super) fn drive_batch<E: BatchPhases>(
             if engine.syndrome_ok_frame(f) {
                 state.converged[f] = true;
                 if engine.early_stop() {
-                    engine.materialize_hard(f);
                     results[f] = Some(DecodeResult {
-                        hard_decision: BitVec::from_bits(engine.hard_frame(f)),
+                        hard_decision: engine.hard_decision(f),
                         iterations: state.iterations[f],
                         converged: true,
                     });
@@ -163,9 +159,8 @@ pub(super) fn drive_batch<E: BatchPhases>(
     }
     for (f, slot) in results.iter_mut().enumerate() {
         if slot.is_none() {
-            engine.materialize_hard(f);
             *slot = Some(DecodeResult {
-                hard_decision: BitVec::from_bits(engine.hard_frame(f)),
+                hard_decision: engine.hard_decision(f),
                 iterations: state.iterations[f],
                 converged: state.converged[f],
             });
@@ -237,6 +232,12 @@ impl BatchMinSumDecoder {
     /// The code this decoder operates on.
     pub fn code(&self) -> &Arc<LdpcCode> {
         &self.code
+    }
+
+    /// Hard-decision bytes of frame `f` after the last iteration.
+    fn hard_frame(&self, f: usize) -> &[u8] {
+        let n = self.code.n();
+        &self.hard[f * n..(f + 1) * n]
     }
 
     /// Effective α for a 0-based iteration (shared with `MinSumDecoder`).
@@ -397,9 +398,8 @@ impl BatchPhases for BatchMinSumDecoder {
         }
     }
 
-    fn hard_frame(&self, f: usize) -> &[u8] {
-        let n = self.code.n();
-        &self.hard[f * n..(f + 1) * n]
+    fn hard_decision(&self, f: usize) -> BitVec {
+        BitVec::from_bits(self.hard_frame(f))
     }
 
     fn syndrome_ok_frame(&self, f: usize) -> bool {
@@ -530,6 +530,12 @@ impl BatchFixedDecoder {
     /// The code this decoder operates on.
     pub fn code(&self) -> &Arc<LdpcCode> {
         &self.code
+    }
+
+    /// Hard-decision bytes of frame `f` after the last iteration.
+    fn hard_frame(&self, f: usize) -> &[u8] {
+        let n = self.code.n();
+        &self.hard[f * n..(f + 1) * n]
     }
 
     /// Decodes a batch of already-quantized frames stored back to back
@@ -739,9 +745,8 @@ impl BatchPhases for BatchFixedDecoder {
         }
     }
 
-    fn hard_frame(&self, f: usize) -> &[u8] {
-        let n = self.code.n();
-        &self.hard[f * n..(f + 1) * n]
+    fn hard_decision(&self, f: usize) -> BitVec {
+        BitVec::from_bits(self.hard_frame(f))
     }
 
     fn syndrome_ok_frame(&self, f: usize) -> bool {

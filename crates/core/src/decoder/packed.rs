@@ -10,9 +10,10 @@ use crate::decoder::swar::{
 };
 use crate::decoder::{DecodeResult, FixedConfig};
 use crate::{LdpcCode, LlrQuantizer};
+use gf2::BitVec;
 use std::sync::Arc;
 
-#[cfg(feature = "simd")]
+#[cfg(target_arch = "x86_64")]
 mod sse;
 
 /// Lanes (frames) packed into each message word.
@@ -53,9 +54,10 @@ fn splat16(x: u16) -> u64 {
 /// same [`FixedConfig`] — same messages, same hard decisions, same
 /// iteration counts — which the conformance and golden suites pin.
 ///
-/// With the `simd` cargo feature enabled (and SSE4.1 present at runtime)
-/// the same phases run on 128-bit vector instructions; the results are
-/// identical bit for bit.
+/// On `x86_64` hosts with SSE4.1 (detected at runtime) the same phases,
+/// and the channel load that quantizes and transposes each call's
+/// input, run on 128-bit vector instructions; the results are identical
+/// bit for bit.
 ///
 /// # Example
 ///
@@ -89,9 +91,6 @@ pub struct PackedFixedDecoder {
     chb_odd: Vec<u64>,
     /// Hard-decision masks: `0xFF` in lane `f` where frame `f` decides 1.
     hard_mask: Vec<u64>,
-    /// Frame-major hard-decision bytes (frame `f` at `f*n..(f+1)*n`),
-    /// materialized per frame on demand from `hard_mask`.
-    hard: Vec<u8>,
     /// Per-lane unsatisfied-check mask: byte `f` is zero iff frame `f`'s
     /// syndrome is zero after the last iteration.
     unsat: u64,
@@ -154,7 +153,6 @@ impl PackedFixedDecoder {
             chb_even: vec![0; n],
             chb_odd: vec![0; n],
             hard_mask: vec![0; n],
-            hard: vec![0; n * PACK_LANES],
             unsat: 0,
             code,
         }
@@ -170,18 +168,35 @@ impl PackedFixedDecoder {
         &self.code
     }
 
-    /// Whether the 128-bit SSE4.1 mirror is compiled in (`simd` feature)
-    /// **and** supported by the running CPU. When `false` the portable
-    /// SWAR kernels run; the results are identical either way.
+    /// Whether the 128-bit SSE4.1 mirror runs: the build targets
+    /// `x86_64` **and** the running CPU supports SSE4.1. When `false`
+    /// the portable SWAR kernels run; the results are identical either
+    /// way.
     pub fn simd_active() -> bool {
-        #[cfg(feature = "simd")]
+        #[cfg(target_arch = "x86_64")]
         {
             sse::available()
         }
-        #[cfg(not(feature = "simd"))]
+        #[cfg(not(target_arch = "x86_64"))]
         {
             false
         }
+    }
+
+    /// Number of frames in a batch of `len` values, checked against the
+    /// code length and the word width.
+    fn batch_frames(&self, len: usize, what: &str) -> usize {
+        let n = self.code.n();
+        assert!(
+            len > 0 && len.is_multiple_of(n),
+            "{what} length must be a positive multiple of the code length"
+        );
+        let frames = len / n;
+        assert!(
+            frames <= PACK_LANES,
+            "batch of {frames} frames exceeds the {PACK_LANES} lanes of one word"
+        );
+        frames
     }
 
     /// Decodes a batch of already-quantized frames stored back to back
@@ -198,38 +213,48 @@ impl PackedFixedDecoder {
         channel: &[i16],
         max_iterations: u32,
     ) -> Vec<DecodeResult> {
-        let code = self.code.clone();
-        let graph = code.graph();
-        let n = graph.n_bits();
-        assert!(
-            !channel.is_empty() && channel.len().is_multiple_of(n),
-            "channel length must be a positive multiple of the code length"
-        );
-        let frames = channel.len() / n;
-        assert!(
-            frames <= PACK_LANES,
-            "batch of {frames} frames exceeds the {PACK_LANES} lanes of one word"
-        );
+        let frames = self.batch_frames(channel.len(), "channel");
         let ch_max = self.quantizer.max_level();
         assert!(
             channel.iter().all(|&c| (-ch_max..=ch_max).contains(&c)),
             "channel value outside quantizer range"
         );
+        self.load_lanes(frames, 0, |i| channel[i]);
+        self.start_messages();
+        drive_batch(self, frames, max_iterations)
+    }
 
-        // Transpose the channel into lane words: saturated signed bytes
-        // for message initialization, biased u16 lanes for the bit-node
-        // accumulator. Unused lanes stay at channel 0 (bias B), which
-        // keeps every lane inside the proven value ranges.
+    /// Quantizes the `frames` frames of `llrs` straight into the channel
+    /// lane planes — the SSE4.1 load where the CPU has it, the portable
+    /// transpose for the rest — and initializes the messages. The
+    /// quantizer's output is in range by construction, so unlike the
+    /// `i16` door this needs no range scan.
+    fn load_llrs(&mut self, llrs: &[f32], frames: usize) {
+        #[cfg(target_arch = "x86_64")]
+        let done = self.load_llrs_sse(llrs, frames);
+        #[cfg(not(target_arch = "x86_64"))]
+        let done = 0;
+        let quantizer = self.quantizer;
+        self.load_lanes(frames, done, |i| quantizer.quantize(llrs[i]));
+        self.start_messages();
+    }
+
+    /// Writes the channel lane planes of bits `first..n` from `value(i)`,
+    /// the channel value at flat index `i = f*n + b` of frame `f`, bit
+    /// `b` (the portable transpose). Saturated signed bytes feed message
+    /// initialization, biased u16 lanes the bit-node accumulator. Unused
+    /// lanes stay at channel 0 (bias B in the u16 plane), which keeps
+    /// every lane inside the proven value ranges.
+    fn load_lanes(&mut self, frames: usize, first: usize, value: impl Fn(usize) -> i16) {
+        let n = self.code.n();
         let bias = u64::from(self.bias);
         let msg_max = self.config.msg_max() as u8 as i8;
-        for b in 0..n {
+        for b in first..n {
             let mut sat = 0u64;
             let mut even = 0u64;
             let mut odd = 0u64;
             for f in 0..PACK_LANES {
-                // Unused lanes stay at channel 0 (bias B in the u16
-                // plane), keeping every lane inside the proven ranges.
-                let c = if f < frames { channel[f * n + b] } else { 0 };
+                let c = if f < frames { value(f * n + b) } else { 0 };
                 sat |= u64::from(c as i8 as u8) << (8 * f);
                 let biased = bias.wrapping_add(c as u64) & 0xFFFF;
                 if f % 2 == 0 {
@@ -242,12 +267,19 @@ impl PackedFixedDecoder {
             self.chb_even[b] = even;
             self.chb_odd[b] = odd;
         }
-        // Initial bit→check messages: the saturated channel value of the
-        // edge's bit, in every lane at once.
-        for e in 0..graph.n_edges() {
-            self.bc[e] = self.ch_sat[graph.edge_bit(e)];
+    }
+
+    /// Initial bit→check messages: the saturated channel value of the
+    /// edge's bit, in every lane at once.
+    fn start_messages(&mut self) {
+        let code = self.code.clone();
+        let graph = code.graph();
+        for m in 0..graph.n_checks() {
+            let edges = &mut self.bc[graph.cn_edge_range(m)];
+            for (bc, &b) in edges.iter_mut().zip(graph.cn_bits(m)) {
+                *bc = self.ch_sat[b as usize];
+            }
         }
-        drive_batch(self, frames, max_iterations)
     }
 
     /// Check-node phase, all 8 lanes per word op: sign product by XOR of
@@ -380,7 +412,7 @@ impl BatchPhases for PackedFixedDecoder {
         // All 8 lanes always advance — a retired lane's results were
         // snapshotted by the driver, so its lanes idling along is free
         // (that is the whole point of the packing: no masking, ever).
-        #[cfg(feature = "simd")]
+        #[cfg(target_arch = "x86_64")]
         if self.simd_phases() {
             self.syndrome_pass();
             return;
@@ -390,18 +422,27 @@ impl BatchPhases for PackedFixedDecoder {
         self.syndrome_pass();
     }
 
-    fn materialize_hard(&mut self, f: usize) {
-        // Transpose frame f's lane out of the hard-decision masks, on
-        // demand — once per frame per decode instead of every iteration.
-        let n = self.code.n();
-        for (b, &mask) in self.hard_mask.iter().enumerate() {
-            self.hard[f * n + b] = ((mask >> (8 * f)) & 1) as u8;
-        }
-    }
-
-    fn hard_frame(&self, f: usize) -> &[u8] {
-        let n = self.code.n();
-        &self.hard[f * n..(f + 1) * n]
+    fn hard_decision(&self, f: usize) -> BitVec {
+        // Pack frame f's lane of the hard-decision masks straight into
+        // bit-vector words, on demand — once per frame per decode
+        // instead of every iteration. Lane f of a mask is 0x00 or 0xFF,
+        // so bit `i` of that byte already is bit `i`'s decision: eight
+        // masks fold into one byte with an AND and an OR each.
+        let shift = 8 * f;
+        let words = self
+            .hard_mask
+            .chunks(64)
+            .map(|masks| {
+                masks.chunks(8).enumerate().fold(0u64, |w, (k, eight)| {
+                    let byte = eight
+                        .iter()
+                        .enumerate()
+                        .fold(0u64, |acc, (i, &m)| acc | (m & (1 << (shift + i))));
+                    w | ((byte >> shift) << (8 * k))
+                })
+            })
+            .collect();
+        BitVec::from_words(self.code.n(), words)
     }
 
     fn syndrome_ok_frame(&self, f: usize) -> bool {
@@ -415,13 +456,9 @@ impl BatchPhases for PackedFixedDecoder {
 
 impl BatchDecoder for PackedFixedDecoder {
     fn decode_batch(&mut self, llrs: &[f32], max_iterations: u32) -> Vec<DecodeResult> {
-        let n = self.code.n();
-        assert!(
-            !llrs.is_empty() && llrs.len().is_multiple_of(n),
-            "LLR length must be a positive multiple of the code length"
-        );
-        let quantized = self.quantizer.quantize_slice(llrs);
-        self.decode_quantized_batch(&quantized, max_iterations)
+        let frames = self.batch_frames(llrs.len(), "LLR");
+        self.load_llrs(llrs, frames);
+        drive_batch(self, frames, max_iterations)
     }
 
     fn capacity(&self) -> usize {
@@ -575,20 +612,178 @@ mod tests {
         assert_eq!(a, b);
     }
 
+    /// `f32` inputs the quantizer must map exactly like the scalar
+    /// decoder: NaN, infinities, signed zeros, subnormals, exact
+    /// half-steps of the default 0.5 step, values around them, and
+    /// values far beyond saturation.
+    fn special_llrs() -> Vec<f32> {
+        let mut v = vec![
+            f32::NAN,
+            -f32::NAN,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            0.0,
+            -0.0,
+            f32::from_bits(1),
+            -f32::from_bits(1),
+            f32::from_bits(0x007F_FFFF),
+            -f32::from_bits(0x007F_FFFF),
+            f32::MIN_POSITIVE,
+            7.5,
+            -7.5,
+            7.75,
+            -7.75,
+            8.0,
+            -9.0,
+            1e30,
+            -1e30,
+            f32::MAX,
+            f32::MIN,
+        ];
+        for k in 0..16 {
+            let half = 0.25 + 0.5 * k as f32;
+            for x in [half, half.next_up(), half.next_down()] {
+                v.extend([x, -x]);
+            }
+        }
+        v
+    }
+
+    /// LLR frames with special values sprinkled over mostly-clean noise,
+    /// so lanes see every edge input yet still converge at different
+    /// iterations.
+    fn special_batch(n: usize, frames: usize, seed: u64) -> Vec<f32> {
+        let specials = special_llrs();
+        let mut rng = StdRng::seed_from_u64(seed);
+        (0..frames * n)
+            .map(|_| {
+                if rng.gen_bool(0.3) {
+                    specials[rng.gen_range(0..specials.len())]
+                } else {
+                    rng.gen_range(-1.0f32..5.0)
+                }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn float_entry_point_edge_values_match_scalar_in_every_partial_word() {
+        use crate::decoder::Decoder;
+        let code = demo_code();
+        let n = code.n();
+        for cfg in [
+            FixedConfig::default(),
+            FixedConfig::default().with_q_msg(8).with_q_ch(8),
+        ] {
+            let mut packed = PackedFixedDecoder::new(code.clone(), cfg);
+            let mut scalar = FixedDecoder::new(code.clone(), cfg);
+            for frames in 1..=PACK_LANES {
+                let llrs = special_batch(n, frames, 60 + frames as u64);
+                let got = packed.decode_batch(&llrs, 12);
+                assert_eq!(got.len(), frames);
+                for (f, out) in got.iter().enumerate() {
+                    let want = scalar.decode(&llrs[f * n..(f + 1) * n], 12);
+                    assert_eq!(out, &want, "{frames}-lane word, lane {f}");
+                }
+            }
+        }
+    }
+
+    /// The SSE4.1 mirror against the portable SWAR path from identical
+    /// state: the `f32` channel load (every partial word) and then
+    /// the check / bit phases, comparing every message, channel plane
+    /// and hard-decision word after every iteration.
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn sse_mirror_matches_portable_swar_words() {
+        if !PackedFixedDecoder::simd_active() {
+            println!("note: no SSE4.1 on this host; SSE mirror not checked");
+            return;
+        }
+        let planes = |d: &PackedFixedDecoder| {
+            [
+                d.ch_sat.clone(),
+                d.chb_even.clone(),
+                d.chb_odd.clone(),
+                d.bc.clone(),
+            ]
+        };
+        for code in [demo_code(), crate::codes::ccsds_c2::code()] {
+            let n = code.n();
+            for scaling in [
+                Scaling::Unity,
+                Scaling::SevenEighths,
+                Scaling::ThreeQuarters,
+                Scaling::Half,
+            ] {
+                for (q_msg, q_ch) in [(6, 5), (4, 3), (8, 8)] {
+                    let cfg = FixedConfig::default()
+                        .with_scaling(scaling)
+                        .with_q_msg(q_msg)
+                        .with_q_ch(q_ch);
+                    let label = format!("n={n} {scaling:?} q_msg={q_msg} q_ch={q_ch}");
+                    let q = cfg.channel_quantizer();
+                    let top = f32::from(q.max_level()) * q.step();
+                    let mut rng = StdRng::seed_from_u64(u64::from(q_msg * 16 + q_ch));
+                    // Lane-biased noise reaching past saturation, plus
+                    // the special values.
+                    let specials = special_llrs();
+                    let llrs: Vec<f32> = (0..PACK_LANES * n)
+                        .map(|i| {
+                            if rng.gen_bool(0.05) {
+                                specials[rng.gen_range(0..specials.len())]
+                            } else {
+                                let lean = 0.1 * (i / n) as f32;
+                                top * rng.gen_range(lean - 0.6..lean + 0.8)
+                            }
+                        })
+                        .collect();
+                    let mut swar = PackedFixedDecoder::new(code.clone(), cfg);
+                    let mut sse = PackedFixedDecoder::new(code.clone(), cfg);
+                    for frames in 1..=PACK_LANES {
+                        let batch = &llrs[..frames * n];
+                        swar.load_lanes(frames, 0, |i| q.quantize(batch[i]));
+                        swar.start_messages();
+                        let done = sse.load_llrs_sse(batch, frames);
+                        assert_eq!(done, n - n % 16, "{label}");
+                        sse.load_lanes(frames, done, |i| q.quantize(batch[i]));
+                        sse.start_messages();
+                        assert_eq!(planes(&sse), planes(&swar), "{label}: load, {frames} lanes");
+                    }
+                    for it in 0..6 {
+                        swar.cn_phase();
+                        swar.bn_phase();
+                        assert!(sse.simd_phases());
+                        assert_eq!(sse.cb, swar.cb, "{label}: cb after iteration {it}");
+                        assert_eq!(sse.bc, swar.bc, "{label}: bc after iteration {it}");
+                        assert_eq!(
+                            sse.hard_mask, swar.hard_mask,
+                            "{label}: hard_mask after iteration {it}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     #[ignore = "manual profiling aid: run with --release --nocapture"]
     fn profile_phase_split() {
         let code = crate::codes::ccsds_c2::code();
         let mut dec = PackedFixedDecoder::new(code.clone(), FixedConfig::default());
         let ch = mixed_batch(&code, 8, 99);
-        let _ = dec.decode_quantized_batch(&ch, 2); // warm buffers
+        // The same batch through the f32 door the engine and server call.
+        let llrs: Vec<f32> = ch.iter().map(|&c| f32::from(c) * 0.5).collect();
+        let _ = dec.decode_batch(&llrs, 2); // warm buffers
         let reps = 200u32;
         let time = |label: &str, f: &mut dyn FnMut()| {
             let start = std::time::Instant::now();
             for _ in 0..reps {
                 f();
             }
-            println!("  {label}: {:?}/iter", start.elapsed() / reps);
+            let per = start.elapsed() / reps;
+            println!("  {label}: {per:?}/iter");
+            per
         };
         time("full decode ", &mut || {
             let _ = dec.decode_quantized_batch(&ch, 18);
@@ -596,23 +791,29 @@ mod tests {
         time("decode 1 it ", &mut || {
             let _ = dec.decode_quantized_batch(&ch, 1);
         });
-        #[cfg(feature = "simd")]
-        time("simd phases ", &mut || {
-            let _ = dec.simd_phases();
+        let door = time("f32 door 1 it", &mut || {
+            let _ = dec.decode_batch(&llrs, 1);
         });
-        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-        #[allow(unsafe_code)]
+        let syndrome = time("syndrome    ", &mut || dec.syndrome_pass());
+        #[cfg(target_arch = "x86_64")]
         if PackedFixedDecoder::simd_active() {
-            // SAFETY: feature presence checked on the line above.
-            time("cn (sse)    ", &mut || unsafe { dec.cn_phase_sse() });
-            time("bn (sse)    ", &mut || unsafe { dec.bn_phase_sse() });
+            let phases = time("simd phases ", &mut || {
+                let _ = dec.simd_phases();
+            });
+            let floor = phases + syndrome;
+            println!(
+                "  setup ratio: f32 door 1 it / (simd phases + syndrome) = {:?} / {:?} = {:.2}x",
+                door,
+                floor,
+                door.as_secs_f64() / floor.as_secs_f64()
+            );
         }
         time("cn (swar)   ", &mut || dec.cn_phase());
         time("bn (swar)   ", &mut || dec.bn_phase());
-        time("syndrome    ", &mut || dec.syndrome_pass());
-        time("materialize ", &mut || {
+        time("f32 load    ", &mut || dec.load_llrs(&llrs, 8));
+        time("hard bits   ", &mut || {
             for f in 0..8 {
-                dec.materialize_hard(f);
+                std::hint::black_box(dec.hard_decision(f));
             }
         });
     }

@@ -33,12 +33,10 @@
 //! assert!(out.hard_decision.is_zero());
 //! ```
 
-// The crate is `unsafe`-free; the only exception is the feature-gated
-// SSE4.1 mirror of the packed SWAR datapath, whose intrinsics module
-// carries a scoped `allow` — so `forbid` must relax to `deny` when the
-// `simd` feature is enabled.
-#![cfg_attr(not(feature = "simd"), forbid(unsafe_code))]
-#![cfg_attr(feature = "simd", deny(unsafe_code))]
+// The crate is `unsafe`-free except for the x86_64 SSE4.1 mirror of
+// the packed SWAR datapath (`decoder/packed/sse.rs`), whose intrinsics
+// module carries the one scoped `allow` — hence `deny`, not `forbid`.
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod analysis;

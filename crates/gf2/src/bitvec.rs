@@ -71,13 +71,19 @@ impl BitVec {
     ///
     /// Any non-zero byte is treated as a one bit.
     pub fn from_bits(bits: &[u8]) -> Self {
-        let mut v = Self::zeros(bits.len());
-        for (i, &b) in bits.iter().enumerate() {
-            if b != 0 {
-                v.set(i, true);
-            }
+        let words = bits
+            .chunks(WORD_BITS)
+            .map(|chunk| {
+                chunk
+                    .iter()
+                    .enumerate()
+                    .fold(0u64, |w, (i, &b)| w | (u64::from(b != 0) << i))
+            })
+            .collect();
+        Self {
+            len: bits.len(),
+            words,
         }
-        v
     }
 
     /// Builds a `len`-bit vector directly from packed little-endian words

@@ -173,6 +173,23 @@ proptest! {
         prop_assert_eq!(slices.to_frames(), frames);
     }
 
+    /// The word-packing `from_bits` equals its per-bit definition (any
+    /// non-zero byte is a one), at lengths on and off word boundaries,
+    /// and leaves the tail of the last word canonical.
+    #[test]
+    fn from_bits_matches_per_bit_definition(
+        bytes in prop::collection::vec(0u8..4, 0..300),
+    ) {
+        let got = BitVec::from_bits(&bytes);
+        let mut want = BitVec::zeros(bytes.len());
+        for (i, &b) in bytes.iter().enumerate() {
+            want.set(i, b != 0);
+        }
+        prop_assert_eq!(got.len(), bytes.len());
+        prop_assert_eq!(got.words(), want.words());
+        prop_assert_eq!(&got, &want);
+    }
+
     /// Element access agrees with the frame-major view of the same data.
     #[test]
     fn bitslice_get_matches_frames(

@@ -1,6 +1,6 @@
 //! A10 — SWAR `@pack=8` packed soft datapath throughput: 8 frames per
-//! `u64` message word against the scalar fixed-point decoder and the
-//! batch-interleaved variant on the full CCSDS C2 code.
+//! `u64` message word against the scalar fixed-point decoder on the full
+//! CCSDS C2 code.
 //!
 //! Regenerates a single-core frames/sec comparison at 18 iterations in
 //! fixed-latency mode (no early termination), asserts the packed lanes
@@ -14,8 +14,7 @@ use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use ldpc_bench::{announce, build_json, frames_per_sec, noisy_frames};
 use ldpc_core::codes::{ccsds_c2, small::demo_code};
 use ldpc_core::{
-    decode_frames, BatchDecoder, BatchFixedDecoder, FixedConfig, FixedDecoder, PackedFixedDecoder,
-    PACK_LANES,
+    decode_frames, BatchDecoder, FixedConfig, FixedDecoder, PackedFixedDecoder, PACK_LANES,
 };
 
 const ITERS: u32 = 18;
@@ -23,12 +22,11 @@ const ITERS: u32 = 18;
 struct A10Numbers {
     frames: usize,
     fixed_fps: f64,
-    batch_fps: f64,
     packed_fps: f64,
 }
 
-/// Decodes `llrs` through a batch decoder in full-width chunks.
-fn decode_packed<D: BatchDecoder>(dec: &mut D, llrs: &[f32]) {
+/// Decodes `llrs` through the packed decoder in full-width chunks.
+fn decode_packed(dec: &mut PackedFixedDecoder, llrs: &[f32]) {
     for chunk in llrs.chunks(dec.capacity() * dec.n()) {
         let _ = dec.decode_batch(chunk, ITERS);
     }
@@ -37,7 +35,7 @@ fn decode_packed<D: BatchDecoder>(dec: &mut D, llrs: &[f32]) {
 fn regenerate_a10() -> A10Numbers {
     announce(
         "A10",
-        "SWAR pack=8 vs scalar fixed vs batch=8 on C2 (18 iterations, fixed latency)",
+        "SWAR pack=8 vs scalar fixed on C2 (18 iterations, fixed latency)",
     );
     let c2 = ccsds_c2::code();
     let total = 48;
@@ -45,7 +43,6 @@ fn regenerate_a10() -> A10Numbers {
     let cfg = FixedConfig::default().with_early_stop(false);
 
     let mut fixed = FixedDecoder::new(c2.clone(), cfg);
-    let mut batch = BatchFixedDecoder::new(c2.clone(), cfg, PACK_LANES);
     let mut packed = PackedFixedDecoder::new(c2.clone(), cfg);
 
     // Correctness gate before any timing: every packed lane must be
@@ -65,7 +62,6 @@ fn regenerate_a10() -> A10Numbers {
     let fixed_fps = frames_per_sec(total, || {
         let _ = decode_frames(&mut fixed, &llrs, ITERS);
     });
-    let batch_fps = frames_per_sec(total, || decode_packed(&mut batch, &llrs));
     let packed_fps = frames_per_sec(total, || decode_packed(&mut packed, &llrs));
 
     println!(
@@ -78,19 +74,13 @@ fn regenerate_a10() -> A10Numbers {
     );
     println!("  fixed (scalar)     : {fixed_fps:>8.1} fr/s");
     println!(
-        "  fixed@batch=8      : {batch_fps:>8.1} fr/s = {:.2}x fixed",
-        batch_fps / fixed_fps
-    );
-    println!(
-        "  fixed@pack=8       : {packed_fps:>8.1} fr/s = {:.2}x fixed, {:.2}x batch (all {total} frames bit-exact)",
+        "  fixed@pack=8       : {packed_fps:>8.1} fr/s = {:.2}x fixed (all {total} frames bit-exact)",
         packed_fps / fixed_fps,
-        packed_fps / batch_fps,
     );
 
     A10Numbers {
         frames: total,
         fixed_fps,
-        batch_fps,
         packed_fps,
     }
 }
@@ -99,16 +89,14 @@ fn regenerate_a10() -> A10Numbers {
 /// (hand-rolled JSON — the workspace vendors no serializer).
 fn write_json(n: &A10Numbers) {
     let json = format!(
-        "{{\n  \"experiment\": \"A10\",\n  \"code\": \"c2\",\n  \"channel\": \"awgn\",\n  \"ebn0_db\": 4.0,\n  \"iterations\": {iters},\n  \"frames\": {frames},\n  \"lanes\": {lanes},\n  \"simd\": {simd},\n  \"frames_per_sec\": {{\"fixed\": {fixed:.1}, \"fixed@batch=8\": {batch:.1}, \"fixed@pack=8\": {packed:.1}}},\n  \"speedup\": {{\"vs_fixed\": {su_f:.2}, \"vs_batch\": {su_b:.2}}},\n  \"bit_exact_frames\": {frames},\n  \"build\": {build}\n}}\n",
+        "{{\n  \"experiment\": \"A10\",\n  \"code\": \"c2\",\n  \"channel\": \"awgn\",\n  \"ebn0_db\": 4.0,\n  \"iterations\": {iters},\n  \"frames\": {frames},\n  \"lanes\": {lanes},\n  \"simd\": {simd},\n  \"frames_per_sec\": {{\"fixed\": {fixed:.1}, \"fixed@pack=8\": {packed:.1}}},\n  \"speedup\": {{\"vs_fixed\": {su_f:.2}}},\n  \"bit_exact_frames\": {frames},\n  \"build\": {build}\n}}\n",
         iters = ITERS,
         frames = n.frames,
         lanes = PACK_LANES,
         simd = PackedFixedDecoder::simd_active(),
         fixed = n.fixed_fps,
-        batch = n.batch_fps,
         packed = n.packed_fps,
         su_f = n.packed_fps / n.fixed_fps,
-        su_b = n.packed_fps / n.batch_fps,
         build = build_json(),
     );
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_A10.json");

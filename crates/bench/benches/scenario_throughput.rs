@@ -15,7 +15,7 @@ use ldpc_sim::{run_point_scenario, MonteCarloConfig, Scenario, Transmission};
 
 const ITERS: u32 = 10;
 const FRAMES: u64 = 512;
-const DECODERS: &[&str] = &["nms:1.25", "fixed@batch=8", "gallager-b@bitslice"];
+const DECODERS: &[&str] = &["nms:1.25", "fixed@pack=8", "gallager-b@bitslice"];
 
 fn mc_config() -> MonteCarloConfig {
     MonteCarloConfig {

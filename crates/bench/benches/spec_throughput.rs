@@ -45,7 +45,7 @@ fn bench(c: &mut Criterion) {
     let mut group = c.benchmark_group("a7_spec_throughput");
     group.sample_size(10);
     group.throughput(Throughput::Elements(64));
-    for spec_str in ["fixed", "fixed@batch=8", "gallager-b@bitslice"] {
+    for spec_str in ["fixed", "fixed@pack=8", "gallager-b@bitslice"] {
         let spec = DecoderSpec::parse(spec_str).unwrap();
         let mut decoder = spec.build(&code);
         group.bench_function(spec_str, |b| {

@@ -4,6 +4,10 @@ use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
 
+/// A command name and the options it accepts (names without the leading
+/// `--`; `--help` / `-h` is accepted by every command).
+pub type CommandOptions = (&'static str, &'static [&'static str]);
+
 /// Parsed command line: a subcommand plus `--key value` / `--flag` options.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ParsedArgs {
@@ -29,6 +33,17 @@ pub enum ArgError {
     },
     /// Unexpected positional argument.
     UnexpectedPositional(String),
+    /// An option the command does not accept.
+    UnknownOption {
+        /// The command.
+        command: String,
+        /// The option as given, without the leading `--`.
+        option: String,
+        /// The options the command accepts.
+        accepted: &'static [&'static str],
+        /// Other commands that accept an option of that name.
+        elsewhere: Vec<&'static str>,
+    },
 }
 
 impl fmt::Display for ArgError {
@@ -40,6 +55,22 @@ impl fmt::Display for ArgError {
                 write!(f, "invalid value {value:?} for --{option}")
             }
             Self::UnexpectedPositional(arg) => write!(f, "unexpected argument {arg:?}"),
+            Self::UnknownOption {
+                command,
+                option,
+                accepted,
+                elsewhere,
+            } => {
+                write!(f, "unknown option --{option} for {command}")?;
+                if !elsewhere.is_empty() {
+                    write!(f, " (an option of {})", elsewhere.join(", "))?;
+                }
+                if accepted.is_empty() {
+                    write!(f, "; {command} takes no options")
+                } else {
+                    write!(f, "; {command} accepts --{}", accepted.join(", --"))
+                }
+            }
         }
     }
 }
@@ -48,16 +79,22 @@ impl Error for ArgError {}
 
 /// Options that never take a value.
 const BOOLEAN_FLAGS: &[&str] = &[
-    "random", "zeros", "help", "c2", "demo", "hard", "bitslice", "adaptive", "resume",
+    "random", "zeros", "help", "c2", "demo", "adaptive", "resume",
 ];
 
 impl ParsedArgs {
-    /// Parses raw arguments (without the program name).
+    /// Parses raw arguments (without the program name). Each option must
+    /// be one the command lists in `commands`; a command missing from the
+    /// table is left for the dispatcher to reject.
     ///
     /// # Errors
     ///
-    /// Returns [`ArgError`] on malformed input.
-    pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Result<Self, ArgError> {
+    /// Returns [`ArgError`] on malformed input or an option the command
+    /// does not accept.
+    pub fn parse<I: IntoIterator<Item = String>>(
+        args: I,
+        commands: &[CommandOptions],
+    ) -> Result<Self, ArgError> {
         let mut it = args.into_iter().peekable();
         let mut command = it.next().ok_or(ArgError::MissingCommand)?;
         if command == "--help" || command == "-h" {
@@ -66,12 +103,30 @@ impl ParsedArgs {
         if command.starts_with('-') {
             return Err(ArgError::MissingCommand);
         }
+        let accepted = commands
+            .iter()
+            .find(|(name, _)| *name == command)
+            .map(|(_, options)| *options);
         let mut options = HashMap::new();
         let mut flags = Vec::new();
         while let Some(arg) = it.next() {
             if arg == "-h" {
                 flags.push("help".to_owned());
             } else if let Some(name) = arg.strip_prefix("--") {
+                if let Some(accepted) = accepted {
+                    if name != "help" && !accepted.contains(&name) {
+                        return Err(ArgError::UnknownOption {
+                            command,
+                            option: name.to_owned(),
+                            accepted,
+                            elsewhere: commands
+                                .iter()
+                                .filter(|(_, options)| options.contains(&name))
+                                .map(|(other, _)| *other)
+                                .collect(),
+                        });
+                    }
+                }
                 if BOOLEAN_FLAGS.contains(&name) {
                     flags.push(name.to_owned());
                 } else {
@@ -121,8 +176,14 @@ impl ParsedArgs {
 mod tests {
     use super::*;
 
+    const COMMANDS: &[CommandOptions] = &[
+        ("simulate", &["ebn0", "frames", "iters", "random", "zeros"]),
+        ("sweep", &["ebn0s", "frames"]),
+        ("info", &[]),
+    ];
+
     fn parse(words: &[&str]) -> Result<ParsedArgs, ArgError> {
-        ParsedArgs::parse(words.iter().map(|s| s.to_string()))
+        ParsedArgs::parse(words.iter().map(|s| s.to_string()), COMMANDS)
     }
 
     #[test]
@@ -180,6 +241,34 @@ mod tests {
     }
 
     #[test]
+    fn unknown_option_rejected_with_accepted_list() {
+        // A misspelling is an error, not a silently ignored option.
+        let err = parse(&["simulate", "--frmes", "10"]).unwrap_err();
+        assert!(matches!(err, ArgError::UnknownOption { .. }), "{err}");
+        let msg = err.to_string();
+        assert!(msg.contains("--frmes"), "{msg}");
+        assert!(msg.contains("--frames"), "{msg}");
+        // A name the table does not know as a flag is still rejected
+        // before any value is consumed.
+        let err = parse(&["simulate", "--hard", "--frames", "10"]).unwrap_err();
+        assert!(matches!(err, ArgError::UnknownOption { .. }), "{err}");
+        // Another command's option names that command.
+        let msg = parse(&["simulate", "--ebn0s", "3,4"])
+            .unwrap_err()
+            .to_string();
+        assert!(msg.contains("an option of sweep"), "{msg}");
+        let msg = parse(&["info", "--frames", "3"]).unwrap_err().to_string();
+        assert!(msg.contains("takes no options"), "{msg}");
+        // Help is accepted everywhere; an unlisted command is left to the
+        // dispatcher.
+        assert!(parse(&["info", "--help"]).unwrap().flag("help"));
+        assert_eq!(
+            parse(&["frobnicate", "--x", "1"]).unwrap().get("x"),
+            Some("1")
+        );
+    }
+
+    #[test]
     fn errors_display_cleanly() {
         for e in [
             ArgError::MissingCommand,
@@ -189,6 +278,12 @@ mod tests {
                 value: "y".into(),
             },
             ArgError::UnexpectedPositional("z".into()),
+            ArgError::UnknownOption {
+                command: "c".into(),
+                option: "o".into(),
+                accepted: &["a"],
+                elsewhere: vec![],
+            },
         ] {
             assert!(!e.to_string().is_empty());
         }

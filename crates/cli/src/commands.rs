@@ -3,7 +3,7 @@
 //! Each command returns its output as a `String` so the logic is unit
 //! testable; `main` only does I/O.
 
-use crate::args::{ArgError, ParsedArgs};
+use crate::args::{ArgError, CommandOptions, ParsedArgs};
 use ldpc_channel::ChannelSpec;
 use ldpc_core::codes::ccsds_c2;
 use ldpc_core::{CodeSpec, DecoderSpec};
@@ -19,6 +19,23 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::error::Error;
 use std::path::PathBuf;
+
+/// Every command with the options it accepts; the parser rejects any
+/// other option, so a misspelled or retired one never runs silently.
+#[rustfmt::skip]
+pub const COMMANDS: &[CommandOptions] = &[
+    ("help", &[]),
+    ("info", &[]),
+    ("encode", &["random", "zeros", "seed"]),
+    ("simulate", &["code", "demo", "c2", "channel", "decoder", "ebn0", "frames", "iters",
+                   "threads", "seed"]),
+    ("sweep", &["decoders", "codes", "channels", "demo", "c2", "ebn0s", "ebn0", "frames",
+                "iters", "threads", "seed", "adaptive", "target-errors", "chunk-frames",
+                "resume", "cache-dir", "json"]),
+    ("serve", &["port", "addr", "max-wait-us", "workers", "iters", "queue-frames"]),
+    ("plan", &["mbps", "iters", "clock"]),
+    ("tables", &[]),
+];
 
 /// Dispatches a parsed command line.
 ///
@@ -107,11 +124,11 @@ CHANNEL SPECS (simulate --channel / sweep --channels; default awgn):
 DECODER SPECS (simulate --decoder / sweep --decoders):
   family[:param][@modifier...] — families: {families}
   examples: spa | nms:1.25 | oms:0.15 | fixed | layered:1.25
-            gallager-b:t=2 | nms:1.25@batch=8 | gallager-b@bitslice
-  modifiers: @batch=N (lockstep frame batching: ms, nms, oms, fixed)
+            gallager-b:t=2 | nms:1.25@batch=8 | fixed@pack=8
+            gallager-b@bitslice
+  modifiers: @batch=N (lockstep frame batching: ms, nms, oms)
+             @pack=8 (8 frames per u64 word: fixed)
              @bitslice (64 frames per u64 word: gallager-b)
-  deprecated flags --batch N, --hard, --bitslice, --threshold N still
-  map onto the matching spec
 
 The full grammar and copy-pasteable recipes live in docs/scenarios.md.
 ",
@@ -219,16 +236,20 @@ fn mc_config_from_args(
     })
 }
 
-fn cmd_simulate(args: &ParsedArgs) -> Result<String, Box<dyn Error>> {
-    for plural in ["codes", "channels", "decoders"] {
-        if args.get(plural).is_some() {
-            return Err(format!(
-                "--{plural} belongs to sweep; simulate takes the singular --{}",
-                &plural[..plural.len() - 1]
-            )
-            .into());
-        }
+/// Parses an Eb/N0 value in dB. It must be finite and within ±1000 dB,
+/// where the channel noise σ is a finite positive number for any code
+/// rate.
+fn parse_ebn0(option: &str, raw: &str) -> Result<f64, String> {
+    match raw.trim().parse::<f64>() {
+        Ok(db) if db.is_finite() && db.abs() <= 1000.0 => Ok(db),
+        _ => Err(format!(
+            "invalid value {raw:?} for --{option}: expected a finite Eb/N0 in dB \
+             within ±1000 (e.g. --{option} 4.0)"
+        )),
     }
+}
+
+fn cmd_simulate(args: &ParsedArgs) -> Result<String, Box<dyn Error>> {
     let channel = match args.get("channel") {
         Some(raw) => raw.parse::<ChannelSpec>()?,
         None => ChannelSpec::awgn(),
@@ -236,10 +257,10 @@ fn cmd_simulate(args: &ParsedArgs) -> Result<String, Box<dyn Error>> {
     let scenario = Scenario {
         code: resolve_code_spec(args)?,
         channel,
-        decoder: resolve_decoder_spec(args)?,
+        decoder: DecoderSpec::parse(args.get("decoder").unwrap_or("fixed"))?,
     };
     let cfg = MonteCarloConfig {
-        ebn0_db: args.get_or("ebn0", 4.0)?,
+        ebn0_db: parse_ebn0("ebn0", args.get("ebn0").unwrap_or("4.0"))?,
         ..mc_config_from_args(args, std::slice::from_ref(&scenario.code))?
     };
     let point = run_point_scenario(&scenario, &cfg)?;
@@ -249,103 +270,7 @@ fn cmd_simulate(args: &ParsedArgs) -> Result<String, Box<dyn Error>> {
     ))
 }
 
-/// Resolves the decoder specification from `--decoder SPEC`, mapping the
-/// deprecated `--batch` / `--hard` / `--bitslice` / `--threshold` flags
-/// onto the equivalent spec (with a note on stderr).
-fn resolve_decoder_spec(args: &ParsedArgs) -> Result<DecoderSpec, Box<dyn Error>> {
-    // Legacy hard-decision flags. `--bitslice` / `--threshold` without
-    // `--hard` stay rejected: a forgotten --hard must not silently run
-    // the soft decoder.
-    if args.flag("hard") || args.flag("bitslice") || args.get("threshold").is_some() {
-        if !args.flag("hard") {
-            return Err(if args.flag("bitslice") {
-                "--bitslice packs the hard-decision decoder; add --hard \
-                 (or use --decoder gallager-b@bitslice)"
-                    .into()
-            } else {
-                "--threshold configures the hard-decision decoder; add --hard \
-                 (or use --decoder gallager-b:t=N)"
-                    .into()
-            });
-        }
-        if args.get("decoder").is_some() {
-            return Err("--hard selects the Gallager-B decoder; drop --decoder \
-                        (or use --decoder gallager-b:t=N[@bitslice] alone)"
-                .into());
-        }
-        if args.get_or("batch", 1usize)? != 1 {
-            return Err(
-                "--batch applies to the soft decoders; use --bitslice for 64-wide hard decoding"
-                    .into(),
-            );
-        }
-        let threshold: usize = args.get_or("threshold", 3usize)?;
-        if threshold == 0 {
-            return Err(Box::new(ArgError::InvalidValue {
-                option: "threshold".into(),
-                value: "0".into(),
-            }));
-        }
-        let mut spec = DecoderSpec::parse(&format!("gallager-b:t={threshold}"))?;
-        if args.flag("bitslice") {
-            spec = spec.with_bitslice()?;
-        }
-        eprintln!("note: --hard/--bitslice/--threshold are deprecated; use --decoder {spec}");
-        return Ok(spec);
-    }
-    let raw: String = args.get_or("decoder", "fixed".to_owned())?;
-    let mut spec = DecoderSpec::parse(&raw)?;
-    // Legacy `--batch N`: map onto @batch=N (N = 1 keeps the scalar
-    // decoder, matching the historical per-frame behaviour bit for bit).
-    let batch: usize = args.get_or("batch", 1usize)?;
-    match batch {
-        0 => {
-            return Err(Box::new(ArgError::InvalidValue {
-                option: "batch".into(),
-                value: "0".into(),
-            }))
-        }
-        1 => {}
-        n => {
-            if spec.batch.is_some() || spec.bitslice || spec.pack.is_some() {
-                return Err(format!(
-                    "--batch {n} conflicts with the modifiers in --decoder {spec}; \
-                     put the batch in the spec"
-                )
-                .into());
-            }
-            spec = spec.with_batch(n)?;
-            eprintln!("note: --batch is deprecated; use --decoder {spec}");
-        }
-    }
-    Ok(spec)
-}
-
 fn cmd_sweep(args: &ParsedArgs) -> Result<String, Box<dyn Error>> {
-    // The legacy simulate decoder flags have no sweep mapping: decoder
-    // choice is exactly the --decoders list. Reject them rather than
-    // silently running a different decoder than the caller asked for.
-    for legacy in ["hard", "bitslice"] {
-        if args.flag(legacy) {
-            return Err(format!("--{legacy} does not apply to sweep; put the decoder in --decoders (e.g. gallager-b:t=N@bitslice)").into());
-        }
-    }
-    for legacy in ["threshold", "batch"] {
-        if args.get(legacy).is_some() {
-            return Err(format!("--{legacy} does not apply to sweep; put it in the --decoders specs (e.g. gallager-b:t=2, nms@batch=8)").into());
-        }
-    }
-    for (singular, plural) in [
-        ("decoder", "--decoders"),
-        ("code", "--codes"),
-        ("channel", "--channels"),
-    ] {
-        if args.get(singular).is_some() {
-            return Err(
-                format!("--{singular} does not apply to sweep; list the spec in {plural}").into(),
-            );
-        }
-    }
     let decoders: Vec<DecoderSpec> = split_spec_list(
         args.get("decoders")
             .ok_or("sweep requires --decoders <spec,spec,...> (try `ldpc-tool help`)")?,
@@ -375,14 +300,9 @@ fn cmd_sweep(args: &ParsedArgs) -> Result<String, Box<dyn Error>> {
     let ebn0s: Vec<f64> = match args.get("ebn0s") {
         Some(list) => list
             .split(',')
-            .map(|v| {
-                v.trim().parse().map_err(|_| ArgError::InvalidValue {
-                    option: "ebn0s".into(),
-                    value: v.into(),
-                })
-            })
+            .map(|v| parse_ebn0("ebn0s", v))
             .collect::<Result<_, _>>()?,
-        None => vec![args.get_or("ebn0", 4.0)?],
+        None => vec![parse_ebn0("ebn0", args.get("ebn0").unwrap_or("4.0"))?],
     };
     let base = mc_config_from_args(args, &codes)?;
     let adaptive = args.flag("adaptive") || args.flag("resume");
@@ -750,7 +670,15 @@ mod tests {
     use super::*;
 
     fn parsed(words: &[&str]) -> ParsedArgs {
-        ParsedArgs::parse(words.iter().map(|s| s.to_string())).unwrap()
+        ParsedArgs::parse(words.iter().map(|s| s.to_string()), COMMANDS).unwrap()
+    }
+
+    /// Parses and runs a command line, as `main` does.
+    fn try_run(words: &[&str]) -> Result<String, Box<dyn Error>> {
+        run(&ParsedArgs::parse(
+            words.iter().map(|s| s.to_string()),
+            COMMANDS,
+        )?)
     }
 
     #[test]
@@ -861,22 +789,26 @@ mod tests {
             "--threads",
             "1",
         ];
-        let per_frame = run(&parsed(base)).unwrap();
-        let mut with_batch = base.to_vec();
-        with_batch.extend(["--batch", "8"]);
-        let batched = run(&parsed(&with_batch)).unwrap();
-        assert!(batched
-            .lines()
-            .nth(1)
-            .unwrap()
-            .starts_with("demo,awgn,fixed@batch=8,3.000,64,"));
         // Identical counts; only the decoder label records the packing.
-        assert_eq!(per_frame.replace(",fixed,", ",fixed@batch=8,"), batched);
-        // The modifier spelled directly in the spec is byte-identical.
-        let mut with_spec = base.to_vec();
-        with_spec[3] = "fixed@batch=8"; // replaces the --decoder value
-        let spec_run = run(&parsed(&with_spec)).unwrap();
-        assert_eq!(spec_run, batched);
+        for (scalar, packed) in [("fixed", "fixed@pack=8"), ("nms", "nms@batch=8")] {
+            let mut args = base.to_vec();
+            args[3] = scalar; // replaces the --decoder value
+            let per_frame = run(&parsed(&args)).unwrap();
+            args[3] = packed;
+            let batched = run(&parsed(&args)).unwrap();
+            assert!(
+                batched
+                    .lines()
+                    .nth(1)
+                    .unwrap()
+                    .starts_with(&format!("demo,awgn,{packed},3.000,64,")),
+                "{batched}"
+            );
+            assert_eq!(
+                per_frame.replace(&format!(",{scalar},"), &format!(",{packed},")),
+                batched
+            );
+        }
     }
 
     #[test]
@@ -885,9 +817,7 @@ mod tests {
             "simulate",
             "--demo",
             "--decoder",
-            "nms",
-            "--batch",
-            "4",
+            "nms@batch=4",
             "--frames",
             "32",
             "--ebn0",
@@ -909,7 +839,8 @@ mod tests {
         let base = &[
             "simulate",
             "--demo",
-            "--hard",
+            "--decoder",
+            "gallager-b:t=3",
             "--ebn0",
             "5.0",
             "--frames",
@@ -923,7 +854,7 @@ mod tests {
         ];
         let scalar = run(&parsed(base)).unwrap();
         let mut with_bitslice = base.to_vec();
-        with_bitslice.push("--bitslice");
+        with_bitslice[3] = "gallager-b:t=3@bitslice";
         let sliced = run(&parsed(&with_bitslice)).unwrap();
         assert!(scalar
             .lines()
@@ -940,41 +871,57 @@ mod tests {
             sliced,
             "bit-sliced counts diverged from scalar Gallager-B"
         );
-        // The modern spelling of the same runs.
-        let mut spec_scalar = base.to_vec();
-        spec_scalar[2] = "--decoder";
-        spec_scalar.insert(3, "gallager-b:t=3");
-        assert_eq!(run(&parsed(&spec_scalar)).unwrap(), scalar);
-        spec_scalar[3] = "gallager-b:t=3@bitslice";
-        assert_eq!(run(&parsed(&spec_scalar)).unwrap(), sliced);
     }
 
+    /// Bit-slicing is the hard-decision family's mirror: the spec
+    /// grammar rejects it on a soft decoder, and the retired `--bitslice`
+    /// flag is an unknown option rather than a silent no-op.
     #[test]
     fn simulate_bitslice_requires_hard() {
-        let err = run(&parsed(&["simulate", "--demo", "--bitslice"])).unwrap_err();
-        assert!(err.to_string().contains("--hard"));
+        let err = run(&parsed(&[
+            "simulate",
+            "--demo",
+            "--decoder",
+            "nms@bitslice",
+        ]))
+        .unwrap_err();
+        assert!(err.to_string().contains("gallager-b"), "{err}");
+        let err = try_run(&["simulate", "--demo", "--bitslice"]).unwrap_err();
+        assert!(
+            err.to_string().contains("unknown option --bitslice"),
+            "{err}"
+        );
+        assert!(err.to_string().contains("--decoder"), "{err}");
     }
 
+    /// A flip threshold is a Gallager-B parameter; the retired
+    /// `--threshold` flag must not silently run the soft decoder.
     #[test]
     fn simulate_threshold_requires_hard() {
-        // A forgotten --hard must not silently run the soft decoder.
-        let err = run(&parsed(&["simulate", "--demo", "--threshold", "5"])).unwrap_err();
-        assert!(err.to_string().contains("--hard"));
+        let err = try_run(&["simulate", "--demo", "--threshold", "5"]).unwrap_err();
+        assert!(
+            err.to_string().contains("unknown option --threshold"),
+            "{err}"
+        );
+        let err = run(&parsed(&["simulate", "--demo", "--decoder", "nms:t=5"])).unwrap_err();
+        assert!(err.to_string().contains("nms"), "{err}");
     }
 
     #[test]
     fn simulate_hard_rejects_decoder_and_batch() {
+        let err = try_run(&["simulate", "--demo", "--hard", "--decoder", "nms"]).unwrap_err();
+        assert!(err.to_string().contains("unknown option --hard"), "{err}");
         let err = run(&parsed(&[
             "simulate",
             "--demo",
-            "--hard",
             "--decoder",
-            "nms",
+            "gallager-b@batch=8",
         ]))
         .unwrap_err();
-        assert!(err.to_string().contains("drop --decoder"));
-        let err = run(&parsed(&["simulate", "--demo", "--hard", "--batch", "8"])).unwrap_err();
-        assert!(err.to_string().contains("--bitslice"));
+        assert!(
+            err.to_string().contains("not supported for gallager-b"),
+            "{err}"
+        );
     }
 
     #[test]
@@ -982,32 +929,70 @@ mod tests {
         let err = run(&parsed(&[
             "simulate",
             "--demo",
-            "--hard",
-            "--threshold",
-            "0",
+            "--decoder",
+            "gallager-b:t=0",
         ]))
         .unwrap_err();
-        assert!(err.to_string().contains("threshold"));
+        assert!(err.to_string().contains("threshold"), "{err}");
     }
 
     #[test]
     fn simulate_rejects_zero_batch() {
-        let err = run(&parsed(&["simulate", "--demo", "--batch", "0"])).unwrap_err();
-        assert!(err.to_string().contains("batch"));
+        let err = run(&parsed(&["simulate", "--demo", "--decoder", "nms@batch=0"])).unwrap_err();
+        assert!(err.to_string().contains("batch"), "{err}");
     }
 
     #[test]
     fn simulate_rejects_batched_spa() {
-        let err = run(&parsed(&[
-            "simulate",
-            "--demo",
-            "--decoder",
-            "spa",
-            "--batch",
-            "8",
-        ]))
-        .unwrap_err();
-        assert!(err.to_string().contains("spa"));
+        let err = run(&parsed(&["simulate", "--demo", "--decoder", "spa@batch=8"])).unwrap_err();
+        assert!(err.to_string().contains("spa"), "{err}");
+    }
+
+    /// Retired options and spellings fail loudly, naming the accepted
+    /// options or the replacement; none runs a different decoder.
+    #[test]
+    fn removed_options_fail_loudly() {
+        for (cmd, want) in [
+            (&["simulate", "--demo", "--batch", "8"][..], "--decoder"),
+            (&["simulate", "--demo", "--hard"][..], "--decoder"),
+            (&["simulate", "--demo", "--frmes", "10"][..], "--frames"),
+            (&["simulate", "--demo", "--bogus", "3"][..], "--frames"),
+            (
+                &["sweep", "--demo", "--decoders", "ms", "--threshold", "2"][..],
+                "--decoders",
+            ),
+            (
+                &["simulate", "--demo", "--decoder", "fixed@batch=8"][..],
+                "fixed@pack=8",
+            ),
+            (
+                &["sweep", "--demo", "--decoders", "fixed@batch=8"][..],
+                "fixed@pack=8",
+            ),
+        ] {
+            let err = try_run(cmd).unwrap_err();
+            assert!(err.to_string().contains(want), "{cmd:?}: {err}");
+        }
+    }
+
+    #[test]
+    fn non_finite_ebn0_is_an_error() {
+        for value in ["nan", "inf", "-inf", "NaN", "1e9", "-4000"] {
+            let err = try_run(&["simulate", "--demo", "--ebn0", value]).unwrap_err();
+            let msg = err.to_string();
+            assert!(msg.contains("--ebn0") && msg.contains(value), "{msg}");
+            let list = format!("3,{value}");
+            let err =
+                try_run(&["sweep", "--demo", "--decoders", "ms", "--ebn0s", &list]).unwrap_err();
+            let msg = err.to_string();
+            assert!(msg.contains("--ebn0s") && msg.contains(value), "{msg}");
+        }
+    }
+
+    #[test]
+    fn oversized_code_spec_is_an_error_not_an_abort() {
+        let err = try_run(&["simulate", "--code", "ar4ja:r=1/2,k=4000000000"]).unwrap_err();
+        assert!(err.to_string().contains("2^20"), "{err}");
     }
 
     #[test]
@@ -1069,7 +1054,7 @@ mod tests {
             "sweep",
             "--demo",
             "--decoders",
-            "nms:1.25,fixed@batch=8,gallager-b@bitslice",
+            "nms:1.25,fixed@pack=8,gallager-b@bitslice",
             "--ebn0s",
             "4.0,6.0",
             "--frames",
@@ -1088,7 +1073,7 @@ mod tests {
         assert_eq!(lines.len(), 1 + 3 * 2, "one row per (decoder, ebn0)");
         assert!(lines[1].starts_with("demo,awgn,nms:1.25,4.000,16,"));
         assert!(lines[2].starts_with("demo,awgn,nms:1.25,6.000,16,"));
-        assert!(lines[3].starts_with("demo,awgn,fixed@batch=8,4.000,16,"));
+        assert!(lines[3].starts_with("demo,awgn,fixed@pack=8,4.000,16,"));
         assert!(lines[5].starts_with("demo,awgn,gallager-b@bitslice,4.000,16,"));
     }
 
@@ -1130,19 +1115,24 @@ mod tests {
 
     #[test]
     fn sweep_rejects_legacy_decoder_flags() {
-        // simulate maps these onto specs; sweep must not silently ignore
-        // them and run a different decoder than asked.
-        for (extra, hint) in [
-            (vec!["--hard"], "--decoders"),
-            (vec!["--bitslice"], "--decoders"),
-            (vec!["--threshold", "2"], "gallager-b:t=2"),
-            (vec!["--batch", "8"], "nms@batch=8"),
-            (vec!["--decoder", "nms:1.25"], "--decoders"),
+        // Decoder choice is exactly the --decoders list: any other
+        // decoder option is unknown to sweep, never silently ignored.
+        for extra in [
+            vec!["--hard"],
+            vec!["--bitslice"],
+            vec!["--threshold", "2"],
+            vec!["--batch", "8"],
+            vec!["--decoder", "nms:1.25"],
         ] {
             let mut cmd = vec!["sweep", "--demo", "--decoders", "gallager-b"];
             cmd.extend(extra.iter().copied());
-            let err = run(&parsed(&cmd)).unwrap_err();
-            assert!(err.to_string().contains(hint), "{extra:?}: {err}");
+            let err = try_run(&cmd).unwrap_err();
+            let msg = err.to_string();
+            assert!(
+                msg.contains(&format!("unknown option {}", extra[0])),
+                "{msg}"
+            );
+            assert!(msg.contains("--decoders"), "{extra:?}: {msg}");
         }
     }
 
@@ -1171,8 +1161,8 @@ mod tests {
             vec!["demo", "ar4ja:r=2/3,k=1024", "shortened:c2,k=4096"]
         );
         assert_eq!(
-            split_spec_list("nms:1.25,gallager-b:t=2@bitslice,fixed@batch=8"),
-            vec!["nms:1.25", "gallager-b:t=2@bitslice", "fixed@batch=8"]
+            split_spec_list("nms:1.25,gallager-b:t=2@bitslice,fixed@pack=8"),
+            vec!["nms:1.25", "gallager-b:t=2@bitslice", "fixed@pack=8"]
         );
         assert_eq!(
             split_spec_list("awgn@quant=5,bsc:0.02"),
@@ -1316,16 +1306,9 @@ mod tests {
     fn simulate_rejects_conflicting_code_selectors() {
         let err = run(&parsed(&["simulate", "--demo", "--code", "c2"])).unwrap_err();
         assert!(err.to_string().contains("--demo"), "{err}");
-        let err = run(&parsed(&["simulate", "--codes", "demo"])).unwrap_err();
+        let err = try_run(&["simulate", "--codes", "demo"]).unwrap_err();
         assert!(err.to_string().contains("sweep"), "{err}");
-        let err = run(&parsed(&[
-            "sweep",
-            "--decoders",
-            "ms",
-            "--channel",
-            "bsc:0.02",
-        ]))
-        .unwrap_err();
+        let err = try_run(&["sweep", "--decoders", "ms", "--channel", "bsc:0.02"]).unwrap_err();
         assert!(err.to_string().contains("--channels"), "{err}");
     }
 

@@ -20,7 +20,7 @@ use std::process::ExitCode;
 
 fn main() -> ExitCode {
     let raw: Vec<String> = std::env::args().skip(1).collect();
-    let parsed = match ParsedArgs::parse(raw) {
+    let parsed = match ParsedArgs::parse(raw, commands::COMMANDS) {
         Ok(p) => p,
         Err(e) => {
             eprintln!("error: {e}");

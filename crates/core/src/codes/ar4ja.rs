@@ -5,7 +5,7 @@
 //! several rates AR4JA LDPC codes for deep-space applications". This module
 //! implements that extension. (It lives in `ldpc-core` so the
 //! [`CodeSpec`](crate::CodeSpec) registry can build AR4JA codes; the
-//! `ldpc-ar4ja` crate re-exports it under its historical name.)
+//! `ccsds-ldpc` facade re-exports it as `ccsds_ldpc::ar4ja`.)
 //!
 //! AR4JA (Accumulate-Repeat-4-Jagged-Accumulate, Divsalar et al.) codes
 //! are protograph-based: a small base matrix whose entries are *edge

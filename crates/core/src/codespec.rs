@@ -49,6 +49,12 @@ use std::sync::Arc;
 /// size).
 pub const DEFAULT_AR4JA_K: usize = 1024;
 
+/// Largest AR4JA mother-code length (every variable node, punctured
+/// block included) the grammar accepts: 2^20 bits, 25x the largest
+/// CCSDS block (`ar4ja:r=1/2,k=16384` lifts to 40960 bits). Anything
+/// larger would try to allocate gigabytes before the first frame.
+const MAX_AR4JA_LEN: usize = 1 << 20;
+
 /// Seed of the deterministic AR4JA circulant lift (documented
 /// substitution, DESIGN.md §3.2: seeded selection replaces the blue
 /// book's shift tables).
@@ -307,7 +313,8 @@ impl CodeSpec {
         ]
     }
 
-    /// Validates parameters (AR4JA size divisibility, positive k).
+    /// Validates parameters (AR4JA size divisibility and size cap,
+    /// positive k).
     fn validated(self) -> Result<Self, CodeSpecError> {
         match self {
             CodeSpec::Ar4ja { rate, k } => {
@@ -320,6 +327,16 @@ impl CodeSpec {
                             "k must be a positive multiple of the rate's info blocks (2 for r=1/2, \
                              4 for r=2/3, 8 for r=4/5) with circulant size k/blocks >= 8 \
                              (e.g. ar4ja:r=1/2,k=1024)",
+                    });
+                }
+                let len = (k / info_blocks).saturating_mul(rate.var_blocks());
+                if len > MAX_AR4JA_LEN {
+                    return Err(CodeSpecError::InvalidParameter {
+                        family: "ar4ja",
+                        value: format!("k={k} (mother-code length {len})"),
+                        expected: "a mother-code length of at most 2^20 = 1048576 bits \
+                                   (k <= 419430 for r=1/2, 599184 for r=2/3, 762600 for r=4/5; \
+                                   the CCSDS sizes are k = 1024, 4096, 16384)",
                     });
                 }
             }
@@ -681,6 +698,39 @@ mod tests {
             CodeSpec::parse("shortened:c2,k=4096").unwrap().to_string(),
             "shortened:c2,k=4096"
         );
+    }
+
+    /// A lift that would allocate gigabytes is a parse error, not an
+    /// abort: the cap sits on the mother-code length, per rate.
+    #[test]
+    fn oversized_ar4ja_is_rejected_before_building() {
+        let err = CodeSpec::parse("ar4ja:r=1/2,k=4000000000").unwrap_err();
+        assert!(
+            matches!(err, CodeSpecError::InvalidParameter { .. }),
+            "{err}"
+        );
+        assert!(err.to_string().contains("2^20"), "{err}");
+        assert!(err.to_string().contains("k=4000000000"), "{err}");
+        // No overflow on the length computation at the top of usize.
+        let huge = format!("ar4ja:r=4/5,k={}", usize::MAX / 8 * 8);
+        assert!(CodeSpec::parse(&huge).is_err());
+        // The largest accepted k of each rate is exactly at the cap.
+        // (rate, info blocks, largest accepted k)
+        for (rate, blocks, k_max) in [
+            ("1/2", 2, 419_430),
+            ("2/3", 4, 599_184),
+            ("4/5", 8, 762_600),
+        ] {
+            assert!(
+                CodeSpec::parse(&format!("ar4ja:r={rate},k={k_max}")).is_ok(),
+                "{rate}"
+            );
+            let over = k_max + blocks;
+            assert!(
+                CodeSpec::parse(&format!("ar4ja:r={rate},k={over}")).is_err(),
+                "{rate}"
+            );
+        }
     }
 
     #[test]

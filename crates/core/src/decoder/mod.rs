@@ -13,7 +13,7 @@
 //! | [`FixedDecoder`] | saturating integer | sign·min, shift-add scaling | the FPGA datapath |
 //! | [`LayeredMinSumDecoder`] | `f32` | sign·min, serial schedule | ablation (A3) |
 //! | [`QcLayeredDecoder`] | `f32` | sign·min, block-layered over rotate-indexed circulant planes | the banked-memory datapath (Fig. 3) |
-//! | [`BatchMinSumDecoder`] / [`BatchFixedDecoder`] | as above, ×F frames | lockstep over interleaved memory | frames-per-word packing (Table 3) |
+//! | [`BatchMinSumDecoder`] | `f32`, ×F frames | lockstep over interleaved memory | frames-per-word packing (Table 3) |
 //! | [`PackedFixedDecoder`] | SWAR i8 lanes, ×8 frames per word | sign·min on byte lanes, one word op per edge | frames-per-word packing at register width |
 //! | [`BitsliceGallagerBDecoder`] | boolean planes, ×64 frames | majority vote via carry-save counters | frames-per-word at the hard-decision limit |
 //! | [`PeelingDecoder`] | GF(2) | degree-1 erasure peeling + dense inactivation solve | fountain-code baseline for the packet-loss workload |
@@ -41,7 +41,7 @@ mod spec;
 pub mod swar;
 
 pub use alpha::{fine_alpha_schedule, mean_matching_alpha, nearest_hardware_scaling};
-pub use batch::{decode_frames, BatchDecoder, BatchFixedDecoder, BatchMinSumDecoder};
+pub use batch::{decode_frames, BatchDecoder, BatchMinSumDecoder};
 pub use bitflip::{GallagerBDecoder, WeightedBitFlipDecoder};
 pub use bitslice::BitsliceGallagerBDecoder;
 pub use block::{Batched, BlockDecoder, PerFrame};

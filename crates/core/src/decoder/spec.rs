@@ -28,7 +28,7 @@
 //!
 //! | Modifier | Effect | Applies to |
 //! |----------|--------|------------|
-//! | `@batch=8` | lockstep frame batching ([`BatchMinSumDecoder`] / [`BatchFixedDecoder`]) | `ms`, `nms`, `oms`, `fixed` |
+//! | `@batch=8` | lockstep frame batching ([`BatchMinSumDecoder`]) | `ms`, `nms`, `oms` |
 //! | `@bitslice` | 64 frames per `u64` word ([`BitsliceGallagerBDecoder`]) | `gallager-b` |
 //! | `@pack=8` | SWAR soft datapath: 8 frames' i8 messages per `u64` word ([`PackedFixedDecoder`]) | `fixed` |
 //!
@@ -51,10 +51,10 @@
 
 use crate::decoder::block::{Batched, BlockDecoder, PerFrame};
 use crate::decoder::{
-    BatchFixedDecoder, BatchMinSumDecoder, BitsliceGallagerBDecoder, FixedConfig, FixedDecoder,
-    GallagerBDecoder, LayeredMinSumDecoder, MinSumConfig, MinSumDecoder, PackedFixedDecoder,
-    PeelingDecoder, QcLayeredDecoder, SelfCorrectedMinSumDecoder, SumProductDecoder,
-    WeightedBitFlipDecoder, PACK_LANES,
+    BatchMinSumDecoder, BitsliceGallagerBDecoder, FixedConfig, FixedDecoder, GallagerBDecoder,
+    LayeredMinSumDecoder, MinSumConfig, MinSumDecoder, PackedFixedDecoder, PeelingDecoder,
+    QcLayeredDecoder, SelfCorrectedMinSumDecoder, SumProductDecoder, WeightedBitFlipDecoder,
+    PACK_LANES,
 };
 use crate::LdpcCode;
 use std::fmt;
@@ -134,12 +134,21 @@ impl DecoderFamily {
         }
     }
 
-    /// Whether `@batch=N` applies to this family.
+    /// Whether `@batch=N` applies to this family: the float min-sum
+    /// families. The fixed-point datapath's frame-packed mirror is
+    /// `@pack=8` instead.
     pub fn supports_batch(&self) -> bool {
-        matches!(
-            self,
-            Self::MinSum | Self::NormalizedMinSum { .. } | Self::OffsetMinSum { .. } | Self::Fixed
-        )
+        self.minsum_config().is_some()
+    }
+
+    /// The [`MinSumConfig`] of the `ms` / `nms` / `oms` families.
+    fn minsum_config(&self) -> Option<MinSumConfig> {
+        match *self {
+            Self::MinSum => Some(MinSumConfig::plain()),
+            Self::NormalizedMinSum { alpha } => Some(MinSumConfig::normalized(alpha)),
+            Self::OffsetMinSum { beta } => Some(MinSumConfig::offset(beta)),
+            _ => None,
+        }
     }
 
     /// Whether `@bitslice` applies to this family.
@@ -218,8 +227,8 @@ impl DecoderSpec {
     }
 
     /// One canonical spec per registered decoder family: the eleven scalar
-    /// families of [`family_names`](Self::family_names) plus the four
-    /// packed mirrors (`nms@batch=8`, `fixed@batch=8`, `fixed@pack=8`,
+    /// families of [`family_names`](Self::family_names) plus the three
+    /// packed mirrors (`nms@batch=8`, `fixed@pack=8`,
     /// `gallager-b@bitslice`).
     ///
     /// The conformance suite derives its decoder list from this registry,
@@ -230,14 +239,12 @@ impl DecoderSpec {
             .iter()
             .map(|name| Self::parse(name).expect("registry keyword must parse"))
             .collect();
-        for packed in ["nms", "fixed"] {
-            specs.push(
-                Self::parse(packed)
-                    .expect("registry keyword must parse")
-                    .with_batch(DEFAULT_BATCH)
-                    .expect("registry family supports @batch"),
-            );
-        }
+        specs.push(
+            Self::parse("nms")
+                .expect("registry keyword must parse")
+                .with_batch(DEFAULT_BATCH)
+                .expect("nms supports @batch"),
+        );
         specs.push(
             Self::parse("fixed")
                 .expect("registry keyword must parse")
@@ -323,7 +330,8 @@ impl DecoderSpec {
                 return Err(SpecError::UnsupportedModifier {
                     modifier: "@batch",
                     family: self.family.keyword(),
-                    supported: "ms, nms, oms, fixed",
+                    supported: "ms, nms, oms (the fixed-point datapath's bit-exact \
+                                8-frame mirror is fixed@pack=8)",
                 });
             }
             if batch == 0 {
@@ -357,15 +365,8 @@ impl DecoderSpec {
                 });
             }
         }
-        if self.bitslice && self.batch.is_some() {
-            return Err(SpecError::ConflictingModifiers("@batch", "@bitslice"));
-        }
-        if self.pack.is_some() && self.batch.is_some() {
-            return Err(SpecError::ConflictingModifiers("@batch", "@pack"));
-        }
-        if self.pack.is_some() && self.bitslice {
-            return Err(SpecError::ConflictingModifiers("@bitslice", "@pack"));
-        }
+        // The three modifiers apply to disjoint family sets, so the checks
+        // above already reject any spec that combines two of them.
         Ok(self)
     }
 
@@ -396,40 +397,17 @@ impl DecoderSpec {
                 FixedConfig::default(),
             )));
         }
-        if let Some(batch) = self.batch {
-            return match self.family {
-                DecoderFamily::MinSum => Box::new(Batched::new(BatchMinSumDecoder::new(
-                    code,
-                    MinSumConfig::plain(),
-                    batch,
-                ))),
-                DecoderFamily::NormalizedMinSum { alpha } => Box::new(Batched::new(
-                    BatchMinSumDecoder::new(code, MinSumConfig::normalized(alpha), batch),
-                )),
-                DecoderFamily::OffsetMinSum { beta } => Box::new(Batched::new(
-                    BatchMinSumDecoder::new(code, MinSumConfig::offset(beta), batch),
-                )),
-                DecoderFamily::Fixed => Box::new(Batched::new(BatchFixedDecoder::new(
-                    code,
-                    FixedConfig::default(),
-                    batch,
-                ))),
-                _ => unreachable!("validated above"),
+        if let Some(config) = self.family.minsum_config() {
+            return match self.batch {
+                Some(batch) => Box::new(Batched::new(BatchMinSumDecoder::new(code, config, batch))),
+                None => Box::new(PerFrame::new(MinSumDecoder::new(code, config))),
             };
         }
         match self.family {
             DecoderFamily::SumProduct => Box::new(PerFrame::new(SumProductDecoder::new(code))),
-            DecoderFamily::MinSum => Box::new(PerFrame::new(MinSumDecoder::new(
-                code,
-                MinSumConfig::plain(),
-            ))),
-            DecoderFamily::NormalizedMinSum { alpha } => Box::new(PerFrame::new(
-                MinSumDecoder::new(code, MinSumConfig::normalized(alpha)),
-            )),
-            DecoderFamily::OffsetMinSum { beta } => Box::new(PerFrame::new(MinSumDecoder::new(
-                code,
-                MinSumConfig::offset(beta),
-            ))),
+            DecoderFamily::MinSum
+            | DecoderFamily::NormalizedMinSum { .. }
+            | DecoderFamily::OffsetMinSum { .. } => unreachable!("built above"),
             DecoderFamily::Fixed => Box::new(PerFrame::new(FixedDecoder::new(
                 code,
                 FixedConfig::default(),
@@ -666,8 +644,6 @@ pub enum SpecError {
         /// Families that do support it.
         supported: &'static str,
     },
-    /// Two frame-packing execution mirrors were combined.
-    ConflictingModifiers(&'static str, &'static str),
 }
 
 impl fmt::Display for SpecError {
@@ -705,10 +681,6 @@ impl fmt::Display for SpecError {
             } => write!(
                 f,
                 "{modifier} is not supported for {family}; supported families: {supported}"
-            ),
-            Self::ConflictingModifiers(a, b) => write!(
-                f,
-                "{a} and {b} cannot be combined (pick one frame-packing execution mirror)"
             ),
         }
     }
@@ -852,6 +824,12 @@ mod tests {
         let err = DecoderSpec::parse("nms@batch=0").unwrap_err();
         assert!(err.to_string().contains(">= 1"), "{err}");
 
+        // The fixed-point datapath has one 8-frame mirror, and the
+        // rejection of the other spelling names it.
+        let err = DecoderSpec::parse("fixed@batch=8").unwrap_err();
+        assert!(err.to_string().contains("not supported for fixed"), "{err}");
+        assert!(err.to_string().contains("fixed@pack=8"), "{err}");
+
         let err = DecoderSpec::parse("gallager-b:t=0").unwrap_err();
         assert!(err.to_string().contains(">= 1"), "{err}");
 
@@ -896,7 +874,7 @@ mod tests {
         // One frame-packing mirror at a time, and no duplicates.
         let err = DecoderSpec::parse("fixed@batch=8@pack=8").unwrap_err();
         assert!(
-            matches!(err, SpecError::ConflictingModifiers(_, _)),
+            matches!(err, SpecError::UnsupportedModifier { .. }),
             "{err}"
         );
         assert!(err.to_string().contains("@pack"), "{err}");

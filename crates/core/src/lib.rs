@@ -57,12 +57,12 @@ pub use codespec::{
     CodeHandle, CodeSpec, CodeSpecError, PlainCode, ShortenedBase, AR4JA_LIFT_SEED, DEFAULT_AR4JA_K,
 };
 pub use decoder::{
-    decode_frames, BatchDecoder, BatchFixedDecoder, BatchMinSumDecoder, Batched,
-    BitsliceGallagerBDecoder, BlockDecoder, DecodeResult, DecodeTrace, Decoder, DecoderFamily,
-    DecoderSpec, FixedConfig, FixedDecoder, GallagerBDecoder, IterationStats, LayeredMinSumDecoder,
-    MinSumConfig, MinSumDecoder, MinSumVariant, PackedFixedDecoder, PeelingDecoder, PerFrame,
-    QcLayeredDecoder, Scaling, SelfCorrectedMinSumDecoder, SpecError, SumProductDecoder,
-    WeightedBitFlipDecoder, PACK_LANES, PEELING_ERASURE_FRACTION,
+    decode_frames, BatchDecoder, BatchMinSumDecoder, Batched, BitsliceGallagerBDecoder,
+    BlockDecoder, DecodeResult, DecodeTrace, Decoder, DecoderFamily, DecoderSpec, FixedConfig,
+    FixedDecoder, GallagerBDecoder, IterationStats, LayeredMinSumDecoder, MinSumConfig,
+    MinSumDecoder, MinSumVariant, PackedFixedDecoder, PeelingDecoder, PerFrame, QcLayeredDecoder,
+    Scaling, SelfCorrectedMinSumDecoder, SpecError, SumProductDecoder, WeightedBitFlipDecoder,
+    PACK_LANES, PEELING_ERASURE_FRACTION,
 };
 pub use encoder::Encoder;
 pub use error::{CodeError, EncodeError};

@@ -1,12 +1,13 @@
 //! Property-based tests over codes, encoders, and decoders.
 
 use gf2::{BitSlices, BitVec};
+use ldpc_core::codes::ar4ja::{base_matrix, Ar4jaCode, Ar4jaRate};
 use ldpc_core::codes::small::{demo_code, random_c2_like};
 use ldpc_core::decoder::kernels::{cn_scan, Scaling};
 use ldpc_core::{
-    decode_frames, BatchDecoder, BatchFixedDecoder, BatchMinSumDecoder, BitsliceGallagerBDecoder,
-    Decoder, DecoderSpec, Encoder, FixedConfig, FixedDecoder, GallagerBDecoder, LlrQuantizer,
-    MinSumConfig, MinSumDecoder, SpecError, SumProductDecoder,
+    decode_frames, BatchDecoder, BatchMinSumDecoder, BitsliceGallagerBDecoder, Decoder,
+    DecoderSpec, Encoder, FixedConfig, FixedDecoder, GallagerBDecoder, LlrQuantizer, MinSumConfig,
+    MinSumDecoder, PackedFixedDecoder, SpecError, SumProductDecoder,
 };
 use proptest::prelude::*;
 
@@ -152,8 +153,9 @@ proptest! {
         prop_assert_eq!(got, want);
     }
 
-    /// Batched fixed-point decoding equals per-frame decoding bit for bit
-    /// on mixed-convergence batches (the hardware-exact datapath).
+    /// Frame-packed fixed-point decoding (the 8-frames-per-word mirror)
+    /// equals per-frame decoding bit for bit on mixed-convergence
+    /// batches (the hardware-exact datapath).
     #[test]
     fn batch_fixed_equals_per_frame(
         qualities in prop::collection::vec(any::<u8>(), 1..9),
@@ -163,14 +165,14 @@ proptest! {
         let code = demo_code();
         let cfg = FixedConfig::default().with_early_stop(early_stop);
         let llrs = mixed_quality_batch(&qualities, &noise, code.n());
-        let mut batched = BatchFixedDecoder::new(code.clone(), cfg, qualities.len());
+        let mut batched = PackedFixedDecoder::new(code.clone(), cfg);
         let mut single = FixedDecoder::new(code.clone(), cfg);
         let got = batched.decode_batch(&llrs, 12);
         let want = decode_frames(&mut single, &llrs, 12);
         prop_assert_eq!(got, want);
     }
 
-    /// The batched fixed decoder accepts quantized (hardware-format)
+    /// The packed fixed decoder accepts quantized (hardware-format)
     /// input and matches `decode_quantized` frame by frame.
     #[test]
     fn batch_fixed_quantized_equals_per_frame(
@@ -186,7 +188,7 @@ proptest! {
                 ((x >> 33) % 31) as i16 - 15 // uniform in the 5-bit range -15..=15
             })
             .collect();
-        let mut batched = BatchFixedDecoder::new(code.clone(), FixedConfig::default(), frames);
+        let mut batched = PackedFixedDecoder::new(code.clone(), FixedConfig::default());
         let mut single = FixedDecoder::new(code.clone(), FixedConfig::default());
         let got = batched.decode_quantized_batch(&channel, 10);
         for (f, got_f) in got.iter().enumerate() {
@@ -409,5 +411,57 @@ proptest! {
         prop_assert!(!err.to_string().is_empty());
         let err = ldpc_core::CodeSpec::parse(&format!("{junk}-code")).unwrap_err();
         prop_assert!(!err.to_string().is_empty());
+    }
+}
+
+// Property-based tests of the AR4JA construction.
+
+fn arb_rate() -> impl Strategy<Value = Ar4jaRate> {
+    prop::sample::select(vec![
+        Ar4jaRate::Half,
+        Ar4jaRate::TwoThirds,
+        Ar4jaRate::FourFifths,
+    ])
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Lifted dimensions follow the protograph for any circulant size and
+    /// seed; the rate accounting is consistent.
+    #[test]
+    fn lifted_dimensions(rate in arb_rate(), m in 8usize..48, seed in 0u64..100) {
+        let code = Ar4jaCode::build(rate, m, seed);
+        let vars = rate.var_blocks();
+        prop_assert_eq!(code.full_len(), vars * m);
+        prop_assert_eq!(code.transmitted_len(), (vars - 1) * m);
+        prop_assert_eq!(code.info_len(), (vars - 3) * m);
+        prop_assert!((code.rate() - rate.as_f64()).abs() < 1e-9);
+        prop_assert_eq!(code.code().n_checks(), 3 * m);
+        // Edge count equals total base multiplicity x m.
+        let mult: usize = base_matrix(rate).iter().flatten().map(|&e| e as usize).sum();
+        prop_assert_eq!(code.code().h().nnz(), mult * m);
+    }
+
+    /// The true dimension never falls below the nominal k (the lifting can
+    /// only add degeneracy, not remove codewords).
+    #[test]
+    fn dimension_at_least_nominal(rate in arb_rate(), seed in 0u64..20) {
+        let code = Ar4jaCode::build(rate, 24, seed);
+        prop_assert!(code.code().dimension() >= code.info_len());
+    }
+
+    /// Puncture/expand are consistent: expanding transmitted LLRs zeroes
+    /// exactly the punctured block.
+    #[test]
+    fn puncture_expand_consistency(rate in arb_rate(), m in 8usize..32) {
+        let code = Ar4jaCode::build(rate, m, 1);
+        let tx = vec![1.25f32; code.transmitted_len()];
+        let full = code.expand_llrs(&tx);
+        prop_assert_eq!(full.len(), code.full_len());
+        prop_assert!(full[..code.transmitted_len()].iter().all(|&x| x == 1.25));
+        prop_assert!(full[code.transmitted_len()..].iter().all(|&x| x == 0.0));
+        let cw = gf2::BitVec::ones(code.full_len());
+        prop_assert_eq!(code.puncture(&cw).len(), code.transmitted_len());
     }
 }

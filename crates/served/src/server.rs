@@ -480,6 +480,22 @@ mod tests {
         join.join().unwrap();
     }
 
+    /// A code spec too large to build is refused on the line; it must not
+    /// abort the server by trying to allocate the lift.
+    #[test]
+    fn oversized_code_spec_is_an_error_and_the_connection_survives() {
+        let (handle, join) = demo_server(Duration::from_millis(1), 64);
+        let mut client = Client::connect(handle.addr()).unwrap();
+        let line = "DECODE|ar4ja:r=1/2,k=4000000000 / fixed|llr8-hex|00";
+        match client.raw_request(line).unwrap() {
+            Response::Error { message, .. } => assert!(message.contains("2^20"), "{message}"),
+            other => panic!("{line} -> {other:?}"),
+        }
+        client.ping().unwrap();
+        handle.shutdown();
+        join.join().unwrap();
+    }
+
     #[test]
     fn full_queue_answers_busy() {
         // One worker, 30 s deadline, 8-lane word, 2-frame bound: two

@@ -16,8 +16,8 @@
 //! * [`run_point_blocks`] — the same engine with an explicit
 //!   [`BlockDecoder`] factory, for configurations the spec grammar does
 //!   not cover (alpha schedules, custom quantization);
-//! * [`run_curve_spec`] / [`run_curve_blocks`] — sweep a list of Eb/N0
-//!   points (Figure 4's x-axis);
+//! * [`run_curve_spec`] — sweep a list of Eb/N0 points (Figure 4's
+//!   x-axis);
 //! * [`run_sweep`] — the orchestrated door: a grid of (scenario, Eb/N0)
 //!   units ([`sweep_grid`]) chunked over a work-stealing worker pool
 //!   with adaptive per-point stopping (run to a frame-error target or a
@@ -34,13 +34,6 @@
 //! Every door funnels into the same worker loop, which is generic over
 //! the code's transmission profile ([`CodeHandle`]) and the channel
 //! model ([`ChannelSpec`]) — AWGN is the default, not a hardcode.
-//!
-//! The historical per-API entry points [`run_point`],
-//! [`run_point_batched`], [`run_point_bitsliced`], and [`run_curve`]
-//! remain as thin deprecated shims over the same engine; their counts
-//! are bit-identical to the corresponding spec-driven runs (pinned by
-//! tests). Each shim's documentation names the exact [`run_point_spec`]
-//! call that reproduces it.
 //!
 //! # Example
 //!
@@ -69,12 +62,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod gain;
 mod orchestrator;
 mod packet;
 mod scenario;
 
-pub use gain::{ebn0_at_per, gain_db, ThresholdResult};
 pub use orchestrator::{
     chunk_key, run_sweep, sha256_hex, sweep_grid, SweepConfig, SweepError, SweepUnit,
     SweepUnitResult,
@@ -89,10 +80,7 @@ pub use scenario::{
 
 use gf2::BitVec;
 use ldpc_channel::ChannelSpec;
-use ldpc_core::{
-    BatchDecoder, Batched, BlockDecoder, CodeHandle, Decoder, DecoderSpec, Encoder, LdpcCode,
-    PerFrame, PlainCode,
-};
+use ldpc_core::{BlockDecoder, CodeHandle, DecoderSpec, Encoder, LdpcCode, PlainCode};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -265,64 +253,6 @@ pub fn run_point_spec(
     run_point_blocks(code, encoder, cfg, || spec.build(code))
 }
 
-/// Simulates one Eb/N0 point, spreading frames over worker threads.
-///
-/// Thin deprecated shim over [`run_point_blocks`] with a per-frame
-/// [`PerFrame`] adapter: counts are bit-identical to the historical
-/// per-frame engine (block size 1).
-///
-/// # Replacement
-///
-/// Name the decoder your factory builds as a spec string and call
-/// [`run_point_spec`] — the counts are bit-identical. For example,
-///
-/// ```
-/// # use ldpc_core::codes::small::demo_code;
-/// # use ldpc_core::{DecoderSpec, MinSumConfig, MinSumDecoder};
-/// # use ldpc_sim::{run_point, run_point_spec, MonteCarloConfig};
-/// # let code = demo_code();
-/// # let cfg = MonteCarloConfig { max_frames: 20, threads: 1, ..MonteCarloConfig::default() };
-/// # #[allow(deprecated)]
-/// let old = run_point(&code, None, &cfg, || {
-///     MinSumDecoder::new(demo_code(), MinSumConfig::normalized(1.25))
-/// });
-/// let new = run_point_spec(&code, None, &cfg, &DecoderSpec::parse("nms:1.25")?);
-/// assert_eq!(old, new);
-/// # Ok::<(), ldpc_core::SpecError>(())
-/// ```
-///
-/// The spec strings for the other families: `SumProductDecoder` → `spa`,
-/// plain `MinSumDecoder` → `ms`, offset → `oms:β`, `FixedDecoder` →
-/// `fixed`, `LayeredMinSumDecoder` → `layered:α`,
-/// `SelfCorrectedMinSumDecoder` → `self-corrected:α`,
-/// `GallagerBDecoder` → `gallager-b:t=N`, `WeightedBitFlipDecoder` →
-/// `wbf`. Configurations outside the grammar (alpha schedules, custom
-/// quantization) keep using [`run_point_blocks`] with an explicit
-/// factory.
-///
-/// # Panics
-///
-/// Panics if `max_frames == 0`, or if `Transmission::Random` is requested
-/// without an encoder.
-#[deprecated(
-    since = "0.1.0",
-    note = "use run_point_spec(&code, enc, &cfg, &DecoderSpec::parse(\"nms:1.25\")?) — \
-            see the doc table for the spec string of each decoder type — \
-            or run_point_blocks for configurations outside the grammar"
-)]
-pub fn run_point<F, D>(
-    code: &Arc<LdpcCode>,
-    encoder: Option<&Arc<Encoder>>,
-    cfg: &MonteCarloConfig,
-    factory: F,
-) -> PointResult
-where
-    F: Fn() -> D + Sync,
-    D: Decoder,
-{
-    run_point_blocks(code, encoder, cfg, || PerFrame::new(factory()))
-}
-
 /// The one Monte-Carlo engine: workers claim
 /// [`block_frames`](BlockDecoder::block_frames) frames at a time from a
 /// shared counter, generate them from deterministic per-worker noise
@@ -330,8 +260,9 @@ where
 /// and accumulate error counts.
 ///
 /// `factory` builds one decoder per worker (decoders are stateful
-/// workspaces and not shared); use [`PerFrame`] / [`Batched`] to adapt
-/// per-frame and batch decoders that are not registry-built. Every other
+/// workspaces and not shared); use [`PerFrame`](ldpc_core::PerFrame) /
+/// [`Batched`](ldpc_core::Batched) to adapt per-frame and batch decoders
+/// that are not registry-built. Every other
 /// `run_point*` entry — including the scenario door with its non-AWGN
 /// channels and punctured/shortened codes — is a thin wrapper over the
 /// same engine loop, so seed derivation and error counting are identical
@@ -590,129 +521,18 @@ where
     }
 }
 
-/// Simulates one Eb/N0 point with a frame-batched decoder: each worker
-/// claims, generates, and decodes frames in blocks of the decoder's batch
-/// capacity instead of one at a time.
-///
-/// This is the batched counterpart of [`run_point`] — the two share one
-/// engine, differing only in how many frames a worker claims per step, so
-/// per-worker noise streams and error counting are identical by
-/// construction. Because the batched decoders are bit-exact against their
-/// per-frame counterparts, a single-threaded run with
-/// `target_frame_errors == 0` produces *identical* counts to [`run_point`]
-/// with the matching per-frame decoder (a property the tests pin down);
-/// it just gets there faster. `factory` builds one batched decoder per
-/// worker.
-///
-/// Two block-granularity caveats:
-///
-/// * the final block a worker claims may be smaller than the batch
-///   capacity (`max_frames` need not be a multiple of it); partial blocks
-///   are decoded as-is;
-/// * a `target_frame_errors` stop is checked between blocks, so a batched
-///   run can decode up to one block beyond the per-frame engine's stop
-///   point before noticing — its counts then differ from [`run_point`]'s
-///   (more frames simulated), though both remain valid Monte-Carlo
-///   estimates.
-///
-/// # Replacement
-///
-/// Append `@batch=N` to the decoder's spec string and call
-/// [`run_point_spec`] — bit-identical counts. A call
-/// `run_point_batched(&code, None, &cfg, || BatchFixedDecoder::new(code(),
-/// FixedConfig::default(), 8))` is reproduced exactly by
-/// `run_point_spec(&code, None, &cfg, &DecoderSpec::parse("fixed@batch=8")?)`,
-/// and a normalized min-sum batch by
-/// `DecoderSpec::parse("nms:1.25@batch=8")?` (likewise `ms@batch=N`,
-/// `oms:β@batch=N`).
-///
-/// # Panics
-///
-/// Panics if `max_frames == 0`, or if [`Transmission::Random`] is
-/// requested without an encoder.
-#[deprecated(
-    since = "0.1.0",
-    note = "use run_point_spec(&code, enc, &cfg, &DecoderSpec::parse(\"fixed@batch=8\")?) \
-            (or nms:α@batch=N / ms@batch=N / oms:β@batch=N), \
-            or run_point_blocks with a Batched adapter"
-)]
-pub fn run_point_batched<F, D>(
-    code: &Arc<LdpcCode>,
-    encoder: Option<&Arc<Encoder>>,
-    cfg: &MonteCarloConfig,
-    factory: F,
-) -> PointResult
-where
-    F: Fn() -> D + Sync,
-    D: BatchDecoder,
-{
-    run_point_blocks(code, encoder, cfg, || Batched::new(factory()))
-}
-
-/// Simulates one Eb/N0 point with the bit-sliced hard-decision decoder:
-/// each worker claims, generates, and decodes frames 64 at a time, one
-/// `u64` lane word per bit position.
-///
-/// This is the hard-decision counterpart of [`run_point_batched`], built
-/// on the same engine with a
-/// [`BitsliceGallagerBDecoder`](ldpc_core::BitsliceGallagerBDecoder)
-/// (majority threshold `flip_threshold`) per worker. Because the
-/// bit-sliced decoder is bit-exact per lane against the scalar
-/// [`GallagerBDecoder`](ldpc_core::GallagerBDecoder), a single-threaded
-/// run with `target_frame_errors == 0` produces *identical* BER/PER
-/// counts to [`run_point`] with the scalar decoder — it just decodes 64
-/// frames per word pass. The block-granularity caveats of
-/// [`run_point_batched`] (partial final block, between-block stop checks)
-/// apply unchanged.
-///
-/// # Replacement
-///
-/// A call `run_point_bitsliced(&code, None, &cfg, 3)` is reproduced bit
-/// for bit by
-/// `run_point_spec(&code, None, &cfg, &DecoderSpec::parse("gallager-b:t=3@bitslice")?)`
-/// — substitute the flip threshold into `t=N`.
-///
-/// # Panics
-///
-/// Panics if `max_frames == 0`, if [`Transmission::Random`] is requested
-/// without an encoder, or if `flip_threshold` is zero.
-#[deprecated(
-    since = "0.1.0",
-    note = "use run_point_spec(&code, enc, &cfg, \
-            &DecoderSpec::parse(\"gallager-b:t=N@bitslice\")?) with your flip threshold as t=N"
-)]
-pub fn run_point_bitsliced(
-    code: &Arc<LdpcCode>,
-    encoder: Option<&Arc<Encoder>>,
-    cfg: &MonteCarloConfig,
-    flip_threshold: usize,
-) -> PointResult {
-    run_point_blocks(code, encoder, cfg, || {
-        Batched::new(ldpc_core::BitsliceGallagerBDecoder::new(
-            Arc::clone(code),
-            flip_threshold,
-        ))
-    })
-}
-
 /// Sweeps a list of Eb/N0 points (the x-axis of the paper's Figure 4)
-/// with any [`BlockDecoder`] factory.
+/// with a [`DecoderSpec`]-named decoder.
 ///
 /// Each point reuses `base` with its `ebn0_db` replaced and the seed
 /// offset by the point index, so points are independent but reproducible.
-/// Wrap per-frame decoders in [`PerFrame`] (batch decoders in
-/// [`Batched`]), or use [`run_curve_spec`] for registered families.
-pub fn run_curve_blocks<F, B>(
+pub fn run_curve_spec(
     code: &Arc<LdpcCode>,
     encoder: Option<&Arc<Encoder>>,
     ebn0_points: &[f64],
     base: &MonteCarloConfig,
-    factory: F,
-) -> Vec<PointResult>
-where
-    F: Fn() -> B + Sync,
-    B: BlockDecoder,
-{
+    spec: &DecoderSpec,
+) -> Vec<PointResult> {
     ebn0_points
         .iter()
         .enumerate()
@@ -722,58 +542,9 @@ where
                 seed: base.seed.wrapping_add(i as u64 * CURVE_SEED_STRIDE),
                 ..base.clone()
             };
-            run_point_blocks(code, encoder, &cfg, &factory)
+            run_point_spec(code, encoder, &cfg, spec)
         })
         .collect()
-}
-
-/// Sweeps a list of Eb/N0 points with a [`DecoderSpec`]-named decoder —
-/// the declarative counterpart of [`run_curve_blocks`], with the same
-/// per-point seed derivation.
-pub fn run_curve_spec(
-    code: &Arc<LdpcCode>,
-    encoder: Option<&Arc<Encoder>>,
-    ebn0_points: &[f64],
-    base: &MonteCarloConfig,
-    spec: &DecoderSpec,
-) -> Vec<PointResult> {
-    run_curve_blocks(code, encoder, ebn0_points, base, || spec.build(code))
-}
-
-/// Sweeps a list of Eb/N0 points with a per-frame [`Decoder`] factory.
-///
-/// Thin deprecated shim over [`run_curve_blocks`] with a [`PerFrame`]
-/// adapter — the same migration story as [`run_point`]: old call sites
-/// keep compiling (with a deprecation note) and produce bit-identical
-/// results. The replacement is [`run_curve_spec`] with the factory's
-/// decoder named as a spec string (see the table in [`run_point`]'s
-/// docs): `run_curve(&code, None, &pts, &cfg, || MinSumDecoder::new(...,
-/// MinSumConfig::normalized(1.25)))` becomes
-/// `run_curve_spec(&code, None, &pts, &cfg, &DecoderSpec::parse("nms:1.25")?)`.
-#[deprecated(
-    since = "0.1.0",
-    note = "use run_curve_spec(&code, enc, &points, &cfg, &DecoderSpec::parse(\"nms:1.25\")?) — \
-            the spec string names the decoder your factory built — \
-            or run_curve_blocks (explicit factory)"
-)]
-pub fn run_curve<F, D>(
-    code: &Arc<LdpcCode>,
-    encoder: Option<&Arc<Encoder>>,
-    ebn0_points: &[f64],
-    base: &MonteCarloConfig,
-    factory: F,
-) -> Vec<PointResult>
-where
-    F: Fn() -> D + Sync,
-    D: Decoder,
-{
-    run_curve_blocks(
-        code,
-        encoder,
-        ebn0_points,
-        base,
-        || PerFrame::new(factory()),
-    )
 }
 
 /// Renders a sweep as CSV with header
@@ -814,7 +585,7 @@ pub fn to_csv(points: &[PointResult]) -> String {
 mod tests {
     use super::*;
     use ldpc_core::codes::small::demo_code;
-    use ldpc_core::{FixedConfig, FixedDecoder, MinSumConfig, MinSumDecoder};
+    use ldpc_core::{MinSumConfig, MinSumDecoder, PerFrame};
 
     fn quick_cfg(ebn0_db: f64) -> MonteCarloConfig {
         MonteCarloConfig {
@@ -985,7 +756,7 @@ mod tests {
                 &positions,
                 &ChannelSpec::awgn(),
                 &cfg,
-                || spec("fixed@batch=8").build(&code),
+                || spec("fixed@pack=8").build(&code),
                 Some(&progress),
             );
             assert_eq!(point.frames, 10);
@@ -1013,7 +784,7 @@ mod tests {
             threads: threads as usize,
             ..quick_cfg(-10.0) // every frame is a frame error down here
         };
-        let point = run_point_spec(&code, None, &cfg, &spec("fixed@batch=8"));
+        let point = run_point_spec(&code, None, &cfg, &spec("fixed@pack=8"));
         assert_eq!(
             point.frame_errors, point.frames,
             "the bound below assumes every frame errors at -10 dB"
@@ -1070,7 +841,7 @@ mod tests {
             ..quick_cfg(2.5)
         };
         let per_frame = run_point_spec(&code, None, &cfg, &spec("fixed"));
-        let batched = run_point_spec(&code, None, &cfg, &spec("fixed@batch=8"));
+        let batched = run_point_spec(&code, None, &cfg, &spec("fixed@pack=8"));
         assert_eq!(batched, per_frame);
     }
 
@@ -1095,7 +866,7 @@ mod tests {
             threads: 3,
             ..quick_cfg(3.0)
         };
-        let point = run_point_spec(&code, None, &cfg, &spec("fixed@batch=8"));
+        let point = run_point_spec(&code, None, &cfg, &spec("fixed@pack=8"));
         assert_eq!(point.frames, 100);
     }
 
@@ -1119,7 +890,7 @@ mod tests {
         let mut cfg = quick_cfg(2.5);
         cfg.transmission = Transmission::Random;
         cfg.threads = 1;
-        let batched = run_point_spec(&code, Some(&enc), &cfg, &spec("fixed@batch=8"));
+        let batched = run_point_spec(&code, Some(&enc), &cfg, &spec("fixed@pack=8"));
         let per_frame = run_point_spec(&code, Some(&enc), &cfg, &spec("fixed"));
         assert_eq!(batched, per_frame);
     }
@@ -1198,59 +969,6 @@ mod tests {
             ))
         });
         assert_eq!(manual, run_point_spec(&code, None, &cfg, &spec("nms")));
-    }
-
-    /// The deprecated shims must reproduce the spec engine's counts
-    /// bit-identically on pinned seeds — the regression contract that let
-    /// the three historical entry points collapse into one engine.
-    #[test]
-    #[allow(deprecated)]
-    fn legacy_shims_match_spec_engine_exactly() {
-        let code = demo_code();
-        for ebn0 in [1.5, 4.0] {
-            let cfg = MonteCarloConfig {
-                threads: 1,
-                seed: 0xC0DE,
-                ..quick_cfg(ebn0)
-            };
-            // run_point over a per-frame decoder == scalar spec.
-            let legacy = run_point(&code, None, &cfg, || {
-                MinSumDecoder::new(demo_code(), MinSumConfig::normalized(4.0 / 3.0))
-            });
-            assert_eq!(legacy, run_point_spec(&code, None, &cfg, &spec("nms")));
-            // run_point_batched == @batch=8 spec.
-            let legacy = run_point_batched(&code, None, &cfg, || {
-                ldpc_core::BatchFixedDecoder::new(demo_code(), FixedConfig::default(), 8)
-            });
-            assert_eq!(
-                legacy,
-                run_point_spec(&code, None, &cfg, &spec("fixed@batch=8"))
-            );
-            // run_point_bitsliced == @bitslice spec.
-            let legacy = run_point_bitsliced(&code, None, &cfg, 3);
-            assert_eq!(
-                legacy,
-                run_point_spec(&code, None, &cfg, &spec("gallager-b:t=3@bitslice"))
-            );
-            // And the per-frame shim still matches its own engine door.
-            let legacy = run_point(&code, None, &cfg, || {
-                FixedDecoder::new(demo_code(), FixedConfig::default())
-            });
-            assert_eq!(
-                legacy,
-                run_point_blocks(&code, None, &cfg, || {
-                    PerFrame::new(FixedDecoder::new(demo_code(), FixedConfig::default()))
-                })
-            );
-            // run_curve's shim: same per-point seed derivation, same counts.
-            let legacy = run_curve(&code, None, &[ebn0, ebn0 + 1.0], &cfg, || {
-                MinSumDecoder::new(demo_code(), MinSumConfig::normalized(4.0 / 3.0))
-            });
-            assert_eq!(
-                legacy,
-                run_curve_spec(&code, None, &[ebn0, ebn0 + 1.0], &cfg, &spec("nms"))
-            );
-        }
     }
 
     /// Every registered family runs end to end through the spec door.

@@ -16,7 +16,7 @@
 //!
 //! // Parameters nest freely; the separator is a slash with whitespace
 //! // around it, so AR4JA's rate fraction is unambiguous.
-//! let sc = Scenario::parse("ar4ja:r=2/3,k=1024 / bsc:0.02 / fixed@batch=8")?;
+//! let sc = Scenario::parse("ar4ja:r=2/3,k=1024 / bsc:0.02 / nms@batch=8")?;
 //! assert_eq!(sc.code.to_string(), "ar4ja:r=2/3");
 //!
 //! // Two-part shorthand: `code / decoder`, channel defaults to awgn.
@@ -274,8 +274,8 @@ pub(crate) fn run_point_scenario_observed(
     )
 }
 
-/// Sweeps a list of Eb/N0 points of a [`Scenario`] — the declarative
-/// counterpart of [`run_curve_blocks`](crate::run_curve_blocks), with
+/// Sweeps a list of Eb/N0 points of a [`Scenario`] — the scenario
+/// counterpart of [`run_curve_spec`](crate::run_curve_spec), with
 /// the same per-point seed derivation (`base.seed + i · 0x5151_5151`),
 /// so a scenario sweep's point `i` reproduces a
 /// [`run_point_scenario`] run with that point's config exactly.
@@ -488,7 +488,7 @@ mod tests {
         for s in [
             "demo / bsc:0.02 / nms:1.25",
             "demo / rayleigh / fixed",
-            "demo / awgn@quant=5 / fixed@batch=8",
+            "demo / awgn@quant=5 / fixed@pack=8",
         ] {
             let sc = Scenario::parse(s).unwrap();
             let cfg = quick_cfg(4.0);

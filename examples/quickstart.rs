@@ -57,7 +57,7 @@ pub fn main() {
 
     // --- Decode with the hardware datapath (18 iterations, paper §4),
     // built through the declarative registry front door: swap the spec
-    // string ("nms:1.25", "fixed@batch=8", "gallager-b@bitslice", ...)
+    // string ("nms:1.25", "fixed@pack=8", "gallager-b@bitslice", ...)
     // to try any registered family.
     let spec = DecoderSpec::parse("fixed").expect("valid spec");
     let mut decoder = spec.build(&code);

@@ -30,7 +30,7 @@
 //! Every decoder family is reachable through one declarative front
 //! door: a [`DecoderSpec`](core::DecoderSpec) string names the family,
 //! its parameters, and how it runs (`"nms:1.25@batch=8"`,
-//! `"gallager-b@bitslice"`, …), and builds the decoder behind the
+//! `"fixed@pack=8"`, `"gallager-b@bitslice"`, …), and builds the decoder behind the
 //! object-safe [`BlockDecoder`](core::BlockDecoder) trait:
 //!
 //! ```
@@ -84,8 +84,8 @@ pub use ldpc_hwsim as hwsim;
 /// Monte-Carlo evaluation engine (re-export of `ldpc-sim`).
 pub use ldpc_sim as sim;
 
-/// AR4JA deep-space codes (re-export of `ldpc-ar4ja`).
-pub use ldpc_ar4ja as ar4ja;
+/// AR4JA deep-space codes (re-export of `ldpc_core::codes::ar4ja`).
+pub use ldpc_core::codes::ar4ja;
 
 /// Decode-as-a-service TCP server (re-export of `ldpc-served`).
 pub use ldpc_served as served;

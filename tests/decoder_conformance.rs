@@ -84,10 +84,10 @@ fn registry_is_complete() {
             "family {name} is parseable but missing from DecoderSpec::all_families()"
         );
     }
-    // 11 scalar families + 4 packed mirrors. Update both the grammar and
+    // 11 scalar families + 3 packed mirrors. Update both the grammar and
     // this count when registering a new family.
     assert_eq!(DecoderSpec::family_names().len(), 11);
-    assert_eq!(all.len(), 15);
+    assert_eq!(all.len(), 14);
     // Canonical specs round trip through the grammar.
     for spec in &all {
         assert_eq!(
@@ -155,13 +155,12 @@ fn documented_bit_exact_pairs_agree() {
     let code = demo_code();
     let llrs = corpus();
     // Every grammar-reachable packed mirror, not just the registry's
-    // canonical four: ms@batch and oms@batch share the batched min-sum
+    // canonical three: ms@batch and oms@batch share the batched min-sum
     // datapath but exercise the plain/offset correction arms.
     let pairs = [
         ("ms", "ms@batch=8"),
         ("nms", "nms@batch=8"),
         ("oms", "oms@batch=8"),
-        ("fixed", "fixed@batch=8"),
         ("fixed", "fixed@pack=8"),
         ("gallager-b", "gallager-b@bitslice"),
     ];

@@ -7,8 +7,8 @@
 
 use ccsds_ldpc::core::codes::{ccsds_c2, small::demo_code};
 use ccsds_ldpc::core::{
-    BatchDecoder, BatchFixedDecoder, BatchMinSumDecoder, DecodeResult, Decoder, DecoderSpec,
-    FixedConfig, FixedDecoder, LayeredMinSumDecoder, MinSumConfig, MinSumDecoder,
+    BatchDecoder, BatchMinSumDecoder, DecodeResult, Decoder, DecoderSpec, FixedConfig,
+    FixedDecoder, LayeredMinSumDecoder, MinSumConfig, MinSumDecoder, PackedFixedDecoder,
 };
 use ccsds_ldpc::gf2::BitVec;
 
@@ -141,16 +141,17 @@ fn golden_float_batch(n: usize, frames: usize) -> Vec<f32> {
 
 #[test]
 fn batch_fixed_decoder_golden_vectors() {
-    // Freezes the batched fixed-point datapath on a deterministic
-    // mixed-quality batch: any scheduling refactor that changes an output
-    // bit, an iteration count, or a convergence flag moves this
-    // fingerprint. The per-frame cross-check localizes a failure to the
-    // batch layer (fingerprint moved, cross-check intact = both paths
-    // changed together, i.e. a datapath change).
+    // Freezes the frame-batched fixed-point datapath (the packed
+    // 8-frames-per-word decoder) on a deterministic mixed-quality batch:
+    // any scheduling refactor that changes an output bit, an iteration
+    // count, or a convergence flag moves this fingerprint. The per-frame
+    // cross-check localizes a failure to the batch layer (fingerprint
+    // moved, cross-check intact = both paths changed together, i.e. a
+    // datapath change).
     let code = demo_code();
     let n = code.n();
     let channel = golden_quantized_batch(n, 6);
-    let mut batched = BatchFixedDecoder::new(code.clone(), FixedConfig::default(), 6);
+    let mut batched = PackedFixedDecoder::new(code.clone(), FixedConfig::default());
     let out = batched.decode_quantized_batch(&channel, 18);
     let mut single = FixedDecoder::new(code.clone(), FixedConfig::default());
     for (f, r) in out.iter().enumerate() {
@@ -260,14 +261,13 @@ const GOLDEN_REGISTRY: &[(&str, u64)] = &[
     // `GOLDEN_BATCH_MINSUM` / `GOLDEN_BATCH_FIXED` / `GOLDEN_LAYERED`
     // constants frozen before the registry existed.
     ("nms@batch=8", 13624013924586681079),
-    ("fixed@batch=8", 13121139592671188269),
     ("fixed@pack=8", 13121139592671188269),
     ("gallager-b@bitslice", 7840324428456516466),
 ];
 
 /// The packed-mirror promise, stated on the frozen constants themselves:
-/// `fixed@pack=8`'s fingerprint IS scalar `fixed`'s (and `fixed@batch=8`'s)
-/// — the SWAR datapath changes the execution, never the results. A
+/// `fixed@pack=8`'s fingerprint IS scalar `fixed`'s — the SWAR datapath
+/// changes the execution, never the results. A
 /// divergence here means the packed decoder stopped being bit-exact.
 #[test]
 fn packed_fixed_fingerprint_coincides_with_scalar_fixed() {

@@ -6,13 +6,42 @@
 //! * a short anchor sweep on the real 8176-bit CCSDS C2 code (Monte-Carlo
 //!   depth bounded so `cargo bench` stays fast — EXPERIMENTS.md records a
 //!   deeper offline run).
+//!
+//! Both run through the chunk orchestrator, so the tables do not depend
+//! on the machine's core count.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use ldpc_bench::{announce, bench_mc_config, c2_mc_config};
-use ldpc_core::codes::{ccsds_c2, small::demo_code};
+use ldpc_core::codes::small::demo_code;
 use ldpc_core::DecoderSpec;
 use ldpc_hwsim::render_table;
-use ldpc_sim::{run_curve_spec, run_point_spec};
+use ldpc_sim::{
+    run_point_spec, run_sweep, sweep_grid, MonteCarloConfig, PointResult, Scenario, SweepConfig,
+};
+
+/// The `fixed` decoder's curve of `code` over `points`, with the frame
+/// cap, error target, iteration budget and base seed of `mc`, in chunks
+/// of `chunk_frames`.
+fn fixed_curve(
+    code: &str,
+    points: &[f64],
+    mc: &MonteCarloConfig,
+    chunk_frames: u64,
+) -> Vec<PointResult> {
+    let scenario = Scenario::parse(&format!("{code} / awgn / fixed")).unwrap();
+    let cfg = SweepConfig {
+        max_frames: mc.max_frames,
+        target_frame_errors: mc.target_frame_errors,
+        chunk_frames,
+        max_iterations: mc.max_iterations,
+        ..SweepConfig::default()
+    };
+    run_sweep(&sweep_grid(&[scenario], points, mc.seed), &cfg)
+        .unwrap()
+        .into_iter()
+        .map(|r| r.point)
+        .collect()
+}
 
 fn regenerate_fig4() {
     announce(
@@ -21,10 +50,9 @@ fn regenerate_fig4() {
     );
 
     // Demo-code waterfall: same QC structure, 1/33 block length.
-    let code = demo_code();
     let points = [1.5, 2.5, 3.5, 4.5, 5.5];
-    let fixed = DecoderSpec::parse("fixed").unwrap();
-    let results = run_curve_spec(&code, None, &points, &bench_mc_config(0.0, 18), &fixed);
+    let chunk = SweepConfig::default().chunk_frames;
+    let results = fixed_curve("demo", &points, &bench_mc_config(0.0, 18), chunk);
     let rows: Vec<Vec<String>> = results
         .iter()
         .map(|p| {
@@ -46,10 +74,10 @@ fn regenerate_fig4() {
         )
     );
 
-    // C2 anchor points near the waterfall knee.
-    let c2 = ccsds_c2::code();
+    // C2 anchor points near the waterfall knee, in 8-frame chunks so the
+    // error target can end a point before its 40-frame cap.
     let c2_points = [3.6, 4.0];
-    let c2_results = run_curve_spec(&c2, None, &c2_points, &c2_mc_config(0.0, 18), &fixed);
+    let c2_results = fixed_curve("c2", &c2_points, &c2_mc_config(0.0, 18), 8);
     let rows: Vec<Vec<String>> = c2_results
         .iter()
         .map(|p| {

@@ -78,9 +78,7 @@ impl fmt::Display for ArgError {
 impl Error for ArgError {}
 
 /// Options that never take a value.
-const BOOLEAN_FLAGS: &[&str] = &[
-    "random", "zeros", "help", "c2", "demo", "adaptive", "resume",
-];
+const BOOLEAN_FLAGS: &[&str] = &["random", "zeros", "help", "c2", "demo", "resume"];
 
 impl ParsedArgs {
     /// Parses raw arguments (without the program name). Each option must

@@ -11,10 +11,7 @@ use ldpc_hwsim::{
     devices, plan, render_table, ArchConfig, CodeDims, PlannerRequest, ResourceEstimate,
     ThroughputModel,
 };
-use ldpc_sim::{
-    run_curve_scenario_with, run_point_scenario, run_sweep, split_spec_list, sweep_grid,
-    MonteCarloConfig, Scenario, SweepConfig, SweepUnitResult, Transmission,
-};
+use ldpc_sim::{run_sweep, split_spec_list, sweep_grid, Scenario, SweepConfig, SweepUnitResult};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::error::Error;
@@ -30,8 +27,8 @@ pub const COMMANDS: &[CommandOptions] = &[
     ("simulate", &["code", "demo", "c2", "channel", "decoder", "ebn0", "frames", "iters",
                    "threads", "seed"]),
     ("sweep", &["decoders", "codes", "channels", "demo", "c2", "ebn0s", "ebn0", "frames",
-                "iters", "threads", "seed", "adaptive", "target-errors", "chunk-frames",
-                "resume", "cache-dir", "json"]),
+                "iters", "threads", "seed", "target-errors", "chunk-frames", "resume",
+                "cache-dir", "json"]),
     ("serve", &["port", "addr", "max-wait-us", "workers", "iters", "queue-frames"]),
     ("plan", &["mbps", "iters", "clock"]),
     ("tables", &[]),
@@ -75,26 +72,26 @@ COMMANDS:
   simulate [--code SPEC|--demo|--c2] [--channel SPEC] [--decoder SPEC]
            [--ebn0 DB] [--frames N] [--iters N] [--threads N] [--seed N]
                             Monte-Carlo one scenario at one operating
-                            point; prints CSV (--threads 0 = all cores)
+                            point; prints the row `sweep` prints for it
+                            (--threads 0 = all cores)
   sweep --decoders SPEC,SPEC,... [--codes SPEC,...] [--channels SPEC,...]
         [--demo|--c2] [--ebn0s DB,DB,...] [--frames N] [--iters N]
-        [--threads N] [--seed N]
-                            grid sweep: one long-format CSV over every
-                            code x channel x decoder x Eb/N0 combination,
-                            all through the one Monte-Carlo engine
-  sweep ... --adaptive [--target-errors K] [--chunk-frames N]
+        [--threads N] [--seed N] [--target-errors K] [--chunk-frames N]
         [--resume] [--cache-dir DIR] [--json PATH]
-                            adaptive sweep: chunks of every grid point are
-                            work-stolen across all cores, and each point
-                            runs until K frame errors (default 100; 0 =
-                            run to the --frames cap, rounded up to whole
-                            chunks). --resume caches finished chunks under
+                            grid sweep: one long-format CSV over every
+                            code x channel x decoder x Eb/N0 combination.
+                            Chunks of {chunk} frames of every point are
+                            work-stolen across the cores; each point runs
+                            --frames N frames, or stops early once it has
+                            K frame errors (default 0 = no early stop).
+                            --resume caches finished chunks under
                             --cache-dir (default .ldpc-sweep-cache), so a
                             re-run simulates nothing and a larger budget
-                            simulates only the extension; merged counts
-                            are independent of --threads and of resuming.
+                            simulates only the extension.
                             --json PATH also writes machine-readable
                             results (the BENCH_SWEEP.json format)
+                            simulate and sweep print the same bytes for
+                            any --threads value and cache state
   serve [--port N | --addr HOST:PORT] [--max-wait-us N] [--workers N]
         [--iters N] [--queue-frames N]
                             decode-as-a-service: newline-delimited TCP
@@ -132,6 +129,7 @@ DECODER SPECS (simulate --decoder / sweep --decoders):
 
 The full grammar and copy-pasteable recipes live in docs/scenarios.md.
 ",
+        chunk = SweepConfig::default().chunk_frames,
         codes = CodeSpec::family_names().join(", "),
         channels = ChannelSpec::family_names().join(", "),
         families = DecoderSpec::family_names().join(", ")
@@ -195,18 +193,22 @@ fn cmd_encode(args: &ParsedArgs) -> Result<String, Box<dyn Error>> {
     Ok(out)
 }
 
+/// The base seed of `simulate` and `sweep` when `--seed` is absent.
+const DEFAULT_SEED: u64 = 0xC11;
+
 /// The shared Monte-Carlo configuration of `simulate` and `sweep`,
-/// parsed from the common flags (`--frames/--iters/--seed/--threads`).
-/// One definition, so a sweep row always reproduces a simulate run with
-/// the same flags at point index 0. `ebn0_db` is left at 0.0 — the
-/// caller sets it (simulate) or `run_curve_scenario` derives it per
-/// point (sweep). The frame default is sized to the smallest code in
-/// play: 2000 frames for demo-only runs, 50 once a full-scale code is
-/// involved.
-fn mc_config_from_args(
+/// parsed from the common flags. One definition, so a sweep row always
+/// reproduces a simulate run with the same flags at point index 0.
+/// Defaults come from [`SweepConfig::default`], except the error
+/// target: 0, so a point runs its whole `--frames` budget unless
+/// `--target-errors` asks otherwise (`simulate` accepts none of the
+/// target, chunk or cache flags, so it always runs that way). The frame
+/// default is sized to the smallest code in play: 2000 frames for
+/// demo-only runs, 50 once a full-scale code is involved.
+fn sweep_config_from_args(
     args: &ParsedArgs,
     codes: &[CodeSpec],
-) -> Result<MonteCarloConfig, Box<dyn Error>> {
+) -> Result<SweepConfig, Box<dyn Error>> {
     let all_demo = codes.iter().all(|c| {
         matches!(
             c,
@@ -218,21 +220,29 @@ fn mc_config_from_args(
         )
     });
     let default_frames = if all_demo { 2_000 } else { 50 };
-    let frames: u64 = args.get_or("frames", default_frames)?;
-    if frames == 0 {
-        return Err(Box::new(ArgError::InvalidValue {
-            option: "frames".into(),
-            value: "0".into(),
-        }));
-    }
-    Ok(MonteCarloConfig {
-        ebn0_db: 0.0,
-        max_frames: frames,
-        target_frame_errors: 0,
-        max_iterations: args.get_or("iters", 18u32)?,
-        seed: args.get_or("seed", 0xC11u64)?,
-        threads: args.get_or("threads", 0usize)?,
-        transmission: Transmission::AllZero,
+    let positive = |option: &str, default: u64| -> Result<u64, ArgError> {
+        match args.get_or(option, default)? {
+            0 => Err(ArgError::InvalidValue {
+                option: option.into(),
+                value: "0".into(),
+            }),
+            n => Ok(n),
+        }
+    };
+    let defaults = SweepConfig::default();
+    let cache_dir = match args.get("cache-dir") {
+        Some(path) => Some(PathBuf::from(path)),
+        None if args.flag("resume") => Some(PathBuf::from(".ldpc-sweep-cache")),
+        None => None,
+    };
+    Ok(SweepConfig {
+        max_frames: positive("frames", default_frames)?,
+        target_frame_errors: args.get_or("target-errors", 0u64)?,
+        chunk_frames: positive("chunk-frames", defaults.chunk_frames)?,
+        max_iterations: args.get_or("iters", defaults.max_iterations)?,
+        threads: args.get_or("threads", defaults.threads)?,
+        cache_dir,
+        progress_frames: None,
     })
 }
 
@@ -259,15 +269,11 @@ fn cmd_simulate(args: &ParsedArgs) -> Result<String, Box<dyn Error>> {
         channel,
         decoder: DecoderSpec::parse(args.get("decoder").unwrap_or("fixed"))?,
     };
-    let cfg = MonteCarloConfig {
-        ebn0_db: parse_ebn0("ebn0", args.get("ebn0").unwrap_or("4.0"))?,
-        ..mc_config_from_args(args, std::slice::from_ref(&scenario.code))?
-    };
-    let point = run_point_scenario(&scenario, &cfg)?;
-    Ok(format!(
-        "{CSV_HEADER}\n{}\n",
-        scenario_csv_row(&scenario, &point)
-    ))
+    let ebn0_db = parse_ebn0("ebn0", args.get("ebn0").unwrap_or("4.0"))?;
+    let cfg = sweep_config_from_args(args, std::slice::from_ref(&scenario.code))?;
+    // A one-unit grid: exactly the row `sweep` prints for this cell.
+    let units = sweep_grid(&[scenario], &[ebn0_db], args.get_or("seed", DEFAULT_SEED)?);
+    Ok(render_csv(&run_sweep(&units, &cfg)?))
 }
 
 fn cmd_sweep(args: &ParsedArgs) -> Result<String, Box<dyn Error>> {
@@ -304,89 +310,11 @@ fn cmd_sweep(args: &ParsedArgs) -> Result<String, Box<dyn Error>> {
             .collect::<Result<_, _>>()?,
         None => vec![parse_ebn0("ebn0", args.get("ebn0").unwrap_or("4.0"))?],
     };
-    let base = mc_config_from_args(args, &codes)?;
-    let adaptive = args.flag("adaptive") || args.flag("resume");
-    if !adaptive {
-        for opt in ["target-errors", "chunk-frames", "cache-dir", "json"] {
-            if args.get(opt).is_some() {
-                return Err(format!(
-                    "--{opt} applies to the adaptive sweep; add --adaptive (or --resume)"
-                )
-                .into());
-            }
-        }
-        let mut out = format!("{CSV_HEADER}\n");
-        for code in &codes {
-            // Each code is built once for the whole grid (an AR4JA lift or a
-            // shortened view's encoder is not free), then shared across every
-            // channel × decoder × Eb/N0 combination.
-            let handle = code.build()?;
-            for channel in &channels {
-                for decoder in &decoders {
-                    // One engine, one seed derivation: every scenario sweeps
-                    // the same Eb/N0 points through run_curve_scenario_with,
-                    // so a sweep row reproduces a simulate run with the same
-                    // flags at the same point index.
-                    let scenario = Scenario {
-                        code: *code,
-                        channel: *channel,
-                        decoder: decoder.clone(),
-                    };
-                    for point in run_curve_scenario_with(&handle, &scenario, &ebn0s, &base) {
-                        out.push_str(&scenario_csv_row(&scenario, &point));
-                        out.push('\n');
-                    }
-                }
-            }
-        }
-        return Ok(out);
-    }
-    cmd_sweep_adaptive(args, &codes, &channels, &decoders, &ebn0s, &base)
-}
-
-/// The adaptive/resumable sweep path: the same grid and seed derivation
-/// as the legacy sweep, orchestrated through `ldpc_sim::run_sweep` —
-/// chunked work stealing across points, per-point stopping at
-/// `--target-errors`, and (with `--resume` / `--cache-dir`) a
-/// content-addressed chunk cache that makes re-runs incremental.
-///
-/// The CSV goes to stdout like every other command; rows extend the
-/// legacy 8 columns (identical prefix, pinned by tests) with the error
-/// count, the Wilson 95 % PER interval, and the resume accounting.
-/// `--json PATH` additionally writes the machine-readable result set.
-fn cmd_sweep_adaptive(
-    args: &ParsedArgs,
-    codes: &[CodeSpec],
-    channels: &[ChannelSpec],
-    decoders: &[DecoderSpec],
-    ebn0s: &[f64],
-    base: &MonteCarloConfig,
-) -> Result<String, Box<dyn Error>> {
-    let chunk_frames: u64 = args.get_or("chunk-frames", 1_000u64)?;
-    if chunk_frames == 0 {
-        return Err(Box::new(ArgError::InvalidValue {
-            option: "chunk-frames".into(),
-            value: "0".into(),
-        }));
-    }
-    let cache_dir = match args.get("cache-dir") {
-        Some(path) => Some(PathBuf::from(path)),
-        None if args.flag("resume") => Some(PathBuf::from(".ldpc-sweep-cache")),
-        None => None,
-    };
-    let cfg = SweepConfig {
-        max_frames: base.max_frames,
-        target_frame_errors: args.get_or("target-errors", 100u64)?,
-        chunk_frames,
-        max_iterations: base.max_iterations,
-        threads: base.threads,
-        cache_dir,
-        progress_frames: None,
-    };
+    let cfg = sweep_config_from_args(args, &codes)?;
     let mut scenarios = Vec::with_capacity(codes.len() * channels.len() * decoders.len());
-    for code in codes {
-        for channel in channels {
-            for decoder in decoders {
+    for code in &codes {
+        for channel in &channels {
+            for decoder in &decoders {
                 scenarios.push(Scenario {
                     code: *code,
                     channel: *channel,
@@ -395,14 +323,9 @@ fn cmd_sweep_adaptive(
             }
         }
     }
-    let units = sweep_grid(&scenarios, ebn0s, base.seed);
+    let units = sweep_grid(&scenarios, &ebn0s, args.get_or("seed", DEFAULT_SEED)?);
     let started = std::time::Instant::now();
     let results = run_sweep(&units, &cfg)?;
-    let mut out = format!("{ADAPTIVE_CSV_HEADER}\n");
-    for result in &results {
-        out.push_str(&adaptive_csv_row(result));
-        out.push('\n');
-    }
     if let Some(path) = args.get("json") {
         std::fs::write(path, sweep_json(&results, &cfg))
             .map_err(|e| format!("writing --json {path}: {e}"))?;
@@ -416,11 +339,19 @@ fn cmd_sweep_adaptive(
         results.len(),
         started.elapsed().as_secs_f64()
     );
-    Ok(out)
+    Ok(render_csv(&results))
 }
 
-/// The CSV header shared by `simulate` and `sweep`.
-const CSV_HEADER: &str = "code,channel,decoder,ebn0_db,frames,ber,per,avg_iterations";
+/// The CSV header of `simulate` and `sweep`: the scenario, the rates,
+/// the raw error count, the Wilson 95 % PER interval, and which rule
+/// stopped the point. Every column is a function of the *merged*
+/// counts — invariant under thread count and under cold/warm/resumed
+/// execution — so a warm re-run's CSV is byte-identical to the cold one.
+/// The per-run resume accounting (frames simulated vs adopted from
+/// cache) is provenance, not result: it goes to the `--json` file and
+/// the stderr summary instead.
+const CSV_HEADER: &str = "code,channel,decoder,ebn0_db,frames,ber,per,avg_iterations,\
+                          frame_errors,per_lo,per_hi,stopped_by";
 
 /// Renders one CSV field, quoting per RFC 4180 when the value contains
 /// a comma (a `shortened:c2,k=4096` code spec), a quote, or a CR/LF —
@@ -435,14 +366,16 @@ fn csv_field(value: &str) -> String {
     }
 }
 
-/// One CSV data row shared by `simulate` and `sweep`: the code, channel,
-/// and decoder columns are canonical spec strings, so `nms:1.25` and
-/// `nms:1.0` (or `bsc:0.02` and `bsc:0.1`) never collapse into the same
-/// label, and any row can be re-run by pasting its first three columns
-/// (unquoted) into `simulate --code/--channel/--decoder`.
-fn scenario_csv_row(scenario: &Scenario, point: &ldpc_sim::PointResult) -> String {
+/// One CSV data row: the code, channel, and decoder columns are
+/// canonical spec strings, so `nms:1.25` and `nms:1.0` (or `bsc:0.02`
+/// and `bsc:0.1`) never collapse into the same label, and any row can
+/// be re-run by pasting its first three columns (unquoted) into
+/// `simulate --code/--channel/--decoder`.
+fn csv_row(result: &SweepUnitResult) -> String {
+    let (scenario, point) = (&result.scenario, &result.point);
+    let (per_lo, per_hi) = point.per_confidence();
     format!(
-        "{},{},{},{:.3},{},{:.6e},{:.6e},{:.2}",
+        "{},{},{},{:.3},{},{:.6e},{:.6e},{:.2},{},{per_lo:.6e},{per_hi:.6e},{}",
         csv_field(&scenario.code.to_string()),
         csv_field(&scenario.channel.to_string()),
         csv_field(&scenario.decoder.to_string()),
@@ -450,32 +383,20 @@ fn scenario_csv_row(scenario: &Scenario, point: &ldpc_sim::PointResult) -> Strin
         point.frames,
         point.ber(),
         point.per(),
-        point.avg_iterations()
+        point.avg_iterations(),
+        point.frame_errors,
+        if result.hit_target { "target" } else { "cap" }
     )
 }
 
-/// The adaptive sweep's CSV header: the legacy 8 columns (same order,
-/// same formats) extended with the raw error count, the Wilson 95 % PER
-/// interval, and which rule stopped the point. Every column is a
-/// function of the *merged* counts — invariant under thread count and
-/// under cold/warm/resumed execution — so a warm re-run's CSV is
-/// byte-identical to the cold one. The per-run resume accounting
-/// (frames simulated vs adopted from cache) is provenance, not result:
-/// it goes to the `--json` file and the stderr summary instead.
-const ADAPTIVE_CSV_HEADER: &str = "code,channel,decoder,ebn0_db,frames,ber,per,avg_iterations,\
-                                   frame_errors,per_lo,per_hi,stopped_by";
-
-/// One adaptive-sweep CSV row. Built on [`scenario_csv_row`], so the
-/// first eight columns are byte-identical to what the legacy sweep
-/// would print for the same merged counts (pinned by tests).
-fn adaptive_csv_row(result: &SweepUnitResult) -> String {
-    let (per_lo, per_hi) = result.point.per_confidence();
-    format!(
-        "{},{},{per_lo:.6e},{per_hi:.6e},{}",
-        scenario_csv_row(&result.scenario, &result.point),
-        result.point.frame_errors,
-        if result.hit_target { "target" } else { "cap" }
-    )
+/// The header plus one row per result, in unit order.
+fn render_csv(results: &[SweepUnitResult]) -> String {
+    let mut out = format!("{CSV_HEADER}\n");
+    for result in results {
+        out.push_str(&csv_row(result));
+        out.push('\n');
+    }
+    out
 }
 
 /// Escapes a string for a JSON literal (spec strings are plain ASCII,
@@ -512,7 +433,7 @@ fn json_rate(x: f64) -> String {
 /// accounting — `total_frames_simulated` is the field CI greps to
 /// assert a warm cache simulated nothing.
 fn sweep_json(results: &[SweepUnitResult], cfg: &SweepConfig) -> String {
-    let mut json = String::from("{\n  \"tool\": \"ldpc-tool sweep\",\n  \"adaptive\": true,\n");
+    let mut json = String::from("{\n  \"tool\": \"ldpc-tool sweep\",\n");
     json.push_str(&format!(
         "  \"target_frame_errors\": {},\n  \"chunk_frames\": {},\n  \"max_frames\": {},\n",
         cfg.target_frame_errors, cfg.chunk_frames, cfg.max_frames
@@ -531,7 +452,7 @@ fn sweep_json(results: &[SweepUnitResult], cfg: &SweepConfig) -> String {
              \"total_iterations\": {}, \"ber\": {}, \"per\": {}, \
              \"per_lo\": {per_lo:.6e}, \"per_hi\": {per_hi:.6e}, \
              \"frames_simulated\": {}, \"frames_from_cache\": {}, \"chunks_merged\": {}, \
-             \"effective_max_frames\": {}, \"hit_target\": {}}}{}\n",
+             \"hit_target\": {}}}{}\n",
             json_escape(&r.scenario.to_string()),
             r.ebn0_db,
             r.point.frames,
@@ -544,7 +465,6 @@ fn sweep_json(results: &[SweepUnitResult], cfg: &SweepConfig) -> String {
             r.frames_simulated,
             r.frames_from_cache,
             r.chunks_merged,
-            r.effective_max_frames,
             r.hit_target,
             if i + 1 < results.len() { "," } else { "" }
         ));
@@ -969,6 +889,10 @@ mod tests {
                 &["sweep", "--demo", "--decoders", "fixed@batch=8"][..],
                 "fixed@pack=8",
             ),
+            (
+                &["sweep", "--demo", "--decoders", "ms", "--adaptive"][..],
+                "unknown option --adaptive",
+            ),
         ] {
             let err = try_run(cmd).unwrap_err();
             assert!(err.to_string().contains(want), "{cmd:?}: {err}");
@@ -1066,10 +990,7 @@ mod tests {
         ]))
         .unwrap();
         let lines: Vec<&str> = out.lines().collect();
-        assert_eq!(
-            lines[0],
-            "code,channel,decoder,ebn0_db,frames,ber,per,avg_iterations"
-        );
+        assert_eq!(lines[0], CSV_HEADER);
         assert_eq!(lines.len(), 1 + 3 * 2, "one row per (decoder, ebn0)");
         assert!(lines[1].starts_with("demo,awgn,nms:1.25,4.000,16,"));
         assert!(lines[2].starts_with("demo,awgn,nms:1.25,6.000,16,"));
@@ -1194,10 +1115,7 @@ mod tests {
         ]))
         .unwrap();
         let lines: Vec<&str> = out.lines().collect();
-        assert_eq!(
-            lines[0],
-            "code,channel,decoder,ebn0_db,frames,ber,per,avg_iterations"
-        );
+        assert_eq!(lines[0], CSV_HEADER);
         assert_eq!(
             lines.len(),
             1 + 2 * 2 * 2 * 2,
@@ -1220,7 +1138,7 @@ mod tests {
                 line.split_once(',').unwrap()
             };
             let fields: Vec<&str> = rest.split(',').collect();
-            assert_eq!(fields.len(), 7, "{line}: field count after code");
+            assert_eq!(fields.len(), 11, "{line}: field count after code");
             assert_eq!(
                 CodeSpec::parse(code_str).unwrap().to_string(),
                 code_str,
@@ -1335,47 +1253,6 @@ mod tests {
     }
 
     #[test]
-    fn adaptive_sweep_extends_the_legacy_rows_exactly() {
-        // With the target disabled and a whole-budget chunk, the adaptive
-        // path runs the very same engine calls as the legacy sweep: its
-        // rows must be the legacy rows plus the new columns.
-        let shared = [
-            "sweep",
-            "--demo",
-            "--decoders",
-            "nms:1.25,fixed",
-            "--ebn0s",
-            "4.0,6.0",
-            "--frames",
-            "24",
-            "--iters",
-            "6",
-            "--threads",
-            "1",
-            "--seed",
-            "5",
-        ];
-        let legacy = run(&parsed(&shared)).unwrap();
-        let mut adaptive_args = shared.to_vec();
-        adaptive_args.extend(["--adaptive", "--target-errors", "0", "--chunk-frames", "24"]);
-        let adaptive = run(&parsed(&adaptive_args)).unwrap();
-        let legacy_lines: Vec<&str> = legacy.lines().collect();
-        let adaptive_lines: Vec<&str> = adaptive.lines().collect();
-        assert_eq!(adaptive_lines[0], ADAPTIVE_CSV_HEADER);
-        assert!(ADAPTIVE_CSV_HEADER.starts_with(CSV_HEADER));
-        assert_eq!(legacy_lines.len(), adaptive_lines.len());
-        for (legacy_row, adaptive_row) in legacy_lines.iter().zip(&adaptive_lines).skip(1) {
-            assert!(
-                adaptive_row.starts_with(*legacy_row),
-                "adaptive row {adaptive_row:?} does not extend {legacy_row:?}"
-            );
-            assert!(adaptive_row.ends_with(",cap"), "{adaptive_row}");
-        }
-        // Determinism: the adaptive path is as reproducible as the engine.
-        assert_eq!(adaptive, run(&parsed(&adaptive_args)).unwrap());
-    }
-
-    #[test]
     fn adaptive_sweep_stops_on_target() {
         // At -4 dB every demo frame errors, so one 20-frame chunk covers
         // a target of 3.
@@ -1396,7 +1273,6 @@ mod tests {
             "6",
             "--threads",
             "1",
-            "--adaptive",
         ]))
         .unwrap();
         let row = out.lines().nth(1).unwrap();
@@ -1456,34 +1332,12 @@ mod tests {
     }
 
     #[test]
-    fn adaptive_flags_require_adaptive_mode() {
-        for (opt, value) in [
-            ("--target-errors", "50"),
-            ("--chunk-frames", "100"),
-            ("--cache-dir", "/tmp/x"),
-            ("--json", "/tmp/x.json"),
-        ] {
-            let err = run(&parsed(&[
-                "sweep",
-                "--demo",
-                "--decoders",
-                "nms",
-                opt,
-                value,
-            ]))
-            .unwrap_err();
-            assert!(err.to_string().contains("--adaptive"), "{opt}: {err}");
-        }
-    }
-
-    #[test]
     fn adaptive_sweep_rejects_zero_chunk_frames() {
         let err = run(&parsed(&[
             "sweep",
             "--demo",
             "--decoders",
             "nms",
-            "--adaptive",
             "--chunk-frames",
             "0",
         ]))

@@ -9,20 +9,21 @@
 //! * [`Scenario`] — the fully declarative front door: one string names
 //!   the code, the channel, and the decoder
 //!   (`"c2 / awgn / nms:1.25"`, `"ar4ja:r=2/3 / bsc:0.02 / fixed"`), and
-//!   [`run_point_scenario`] / [`run_curve_scenario`] simulate it;
+//!   [`run_point_scenario`] simulates it;
 //! * [`run_point_spec`] — any decoder named by a [`DecoderSpec`]
 //!   (`"nms:1.25@batch=8"`, `"gallager-b@bitslice"`, …) over an explicit
 //!   code, on the default AWGN channel;
 //! * [`run_point_blocks`] — the same engine with an explicit
 //!   [`BlockDecoder`] factory, for configurations the spec grammar does
 //!   not cover (alpha schedules, custom quantization);
-//! * [`run_curve_spec`] — sweep a list of Eb/N0 points (Figure 4's
-//!   x-axis);
-//! * [`run_sweep`] — the orchestrated door: a grid of (scenario, Eb/N0)
-//!   units ([`sweep_grid`]) chunked over a work-stealing worker pool
-//!   with adaptive per-point stopping (run to a frame-error target or a
-//!   cap) and a content-addressed on-disk cache ([`SweepConfig`]) that
-//!   makes re-runs and budget extensions incremental;
+//! * [`run_sweep`] — the orchestrated door, and the one `ldpc-tool
+//!   simulate` and `sweep` run: a grid of (scenario, Eb/N0) units
+//!   ([`sweep_grid`], Figure 4's x-axis) chunked over a work-stealing
+//!   worker pool with adaptive per-point stopping (run to a frame-error
+//!   target or a cap) and a content-addressed on-disk cache
+//!   ([`SweepConfig`]) that makes re-runs and budget extensions
+//!   incremental. Its counts do not depend on the thread count;
+//!   the engine's own multi-worker counts do;
 //! * [`run_point_packets`] — the packet-loss workload: frames leave as
 //!   fixed-size packets, the scenario's `erasure`/`burst` channel drops
 //!   whole packets, and survivors reassemble into zero-LLR-filled
@@ -73,10 +74,7 @@ pub use orchestrator::{
 pub use packet::{
     run_point_packets, PacketChannel, PacketDropModel, PacketLossReport, PacketStats,
 };
-pub use scenario::{
-    run_curve_scenario, run_curve_scenario_with, run_point_scenario, run_point_scenario_with,
-    split_spec_list, Scenario, ScenarioError,
-};
+pub use scenario::{run_point_scenario, split_spec_list, Scenario, ScenarioError};
 
 use gf2::BitVec;
 use ldpc_channel::ChannelSpec;
@@ -302,9 +300,8 @@ where
     )
 }
 
-/// Seed offset between consecutive curve points (`run_curve_*` and the
-/// sweep orchestrator derive point `i`'s seed as
-/// `base.seed + i * CURVE_SEED_STRIDE`).
+/// Seed offset between consecutive curve points ([`sweep_grid`] derives
+/// point `i`'s seed as `base_seed + i * CURVE_SEED_STRIDE`).
 pub(crate) const CURVE_SEED_STRIDE: u64 = 0x5151_5151;
 
 /// Seed offset between the engine's per-worker noise streams (worker
@@ -403,112 +400,110 @@ where
     let undetected = AtomicU64::new(0);
     let total_iterations = AtomicU64::new(0);
 
-    std::thread::scope(|scope| {
-        for t in 0..threads {
-            let factory = &factory;
-            let handle = &handle;
-            let count_positions = &count_positions;
-            let frames_claimed = &frames_claimed;
-            let frames_done = &frames_done;
-            let bit_errors = &bit_errors;
-            let frame_errors = &frame_errors;
-            let undetected = &undetected;
-            let total_iterations = &total_iterations;
-            let encoder = encoder.cloned();
-            let cfg = cfg.clone();
-            scope.spawn(move || {
-                let mut decoder = factory();
-                let block = decoder.block_frames() as u64;
-                assert!(block > 0, "decoder claims zero frames per block");
-                // Disjoint deterministic streams per worker.
-                let worker_seed = cfg
-                    .seed
-                    .wrapping_add(WORKER_SEED_STRIDE.wrapping_mul(t as u64 + 1));
-                let mut channel = channel_factory(worker_seed);
-                let mut msg_rng = StdRng::seed_from_u64(worker_seed ^ 0xABCD_EF01);
-                let zero = BitVec::zeros(n);
-                let zero_tx = BitVec::zeros(tx_len);
-                let mut llrs: Vec<f32> = Vec::with_capacity(block as usize * n);
-                let mut codewords: Vec<BitVec> = Vec::with_capacity(block as usize);
-                loop {
-                    if cfg.target_frame_errors > 0
-                        && frame_errors.load(Ordering::Relaxed) >= cfg.target_frame_errors
-                    {
-                        break;
+    let worker = |t: usize| {
+        let mut decoder = factory();
+        let block = decoder.block_frames() as u64;
+        assert!(block > 0, "decoder claims zero frames per block");
+        // Disjoint deterministic streams per worker.
+        let worker_seed = cfg
+            .seed
+            .wrapping_add(WORKER_SEED_STRIDE.wrapping_mul(t as u64 + 1));
+        let mut channel = channel_factory(worker_seed);
+        let mut msg_rng = StdRng::seed_from_u64(worker_seed ^ 0xABCD_EF01);
+        let zero = BitVec::zeros(n);
+        let zero_tx = BitVec::zeros(tx_len);
+        let mut llrs: Vec<f32> = Vec::with_capacity(block as usize * n);
+        let mut codewords: Vec<BitVec> = Vec::with_capacity(block as usize);
+        loop {
+            if cfg.target_frame_errors > 0
+                && frame_errors.load(Ordering::Relaxed) >= cfg.target_frame_errors
+            {
+                break;
+            }
+            // Claim up to one block, never past the cap: a capped
+            // CAS (instead of an unconditional fetch_add) keeps
+            // `frames_claimed` ≤ max_frames under any number of
+            // racing workers, so the counter doubles as an exact
+            // progress gauge. The final claim may be partial.
+            let mut current = frames_claimed.load(Ordering::Relaxed);
+            let count = loop {
+                if current >= cfg.max_frames {
+                    break 0;
+                }
+                let next = cfg.max_frames.min(current + block);
+                match frames_claimed.compare_exchange_weak(
+                    current,
+                    next,
+                    Ordering::Relaxed,
+                    Ordering::Relaxed,
+                ) {
+                    Ok(_) => break next - current,
+                    Err(seen) => current = seen,
+                }
+            };
+            if count == 0 {
+                break;
+            }
+            if let Some(progress) = progress {
+                progress.fetch_add(count, Ordering::Relaxed);
+            }
+            llrs.clear();
+            codewords.clear();
+            for _ in 0..count {
+                let codeword = match cfg.transmission {
+                    Transmission::AllZero => zero.clone(),
+                    Transmission::Random => {
+                        let enc = encoder.as_ref().expect("checked above");
+                        let msg: BitVec = (0..enc.dimension())
+                            .map(|_| msg_rng.gen_bool(0.5))
+                            .collect();
+                        enc.encode(&msg).expect("message length matches dimension")
                     }
-                    // Claim up to one block, never past the cap: a capped
-                    // CAS (instead of an unconditional fetch_add) keeps
-                    // `frames_claimed` ≤ max_frames under any number of
-                    // racing workers, so the counter doubles as an exact
-                    // progress gauge. The final claim may be partial.
-                    let mut current = frames_claimed.load(Ordering::Relaxed);
-                    let count = loop {
-                        if current >= cfg.max_frames {
-                            break 0;
-                        }
-                        let next = cfg.max_frames.min(current + block);
-                        match frames_claimed.compare_exchange_weak(
-                            current,
-                            next,
-                            Ordering::Relaxed,
-                            Ordering::Relaxed,
-                        ) {
-                            Ok(_) => break next - current,
-                            Err(seen) => current = seen,
-                        }
-                    };
-                    if count == 0 {
-                        break;
-                    }
-                    if let Some(progress) = progress {
-                        progress.fetch_add(count, Ordering::Relaxed);
-                    }
-                    llrs.clear();
-                    codewords.clear();
-                    for _ in 0..count {
-                        let codeword = match cfg.transmission {
-                            Transmission::AllZero => zero.clone(),
-                            Transmission::Random => {
-                                let enc = encoder.as_ref().expect("checked above");
-                                let msg: BitVec = (0..enc.dimension())
-                                    .map(|_| msg_rng.gen_bool(0.5))
-                                    .collect();
-                                enc.encode(&msg).expect("message length matches dimension")
-                            }
-                        };
-                        // With a partial transmission profile only the
-                        // all-zero codeword is simulated (asserted above),
-                        // so the transmitted bits are all zero too.
-                        let received = if tx_len == n {
-                            channel.transmit_codeword(&codeword)
-                        } else {
-                            channel.transmit_codeword(&zero_tx)
-                        };
-                        handle.expand_llrs_into(&received, &mut llrs);
-                        codewords.push(codeword);
-                    }
-                    let results = decoder.decode_block(&llrs, cfg.max_iterations);
-                    for (out, codeword) in results.iter().zip(&codewords) {
-                        total_iterations.fetch_add(u64::from(out.iterations), Ordering::Relaxed);
-                        let mut errors_this_frame = 0u64;
-                        for &pos in count_positions.iter() {
-                            if out.hard_decision.get(pos as usize) != codeword.get(pos as usize) {
-                                errors_this_frame += 1;
-                            }
-                        }
-                        if errors_this_frame > 0 {
-                            bit_errors.fetch_add(errors_this_frame, Ordering::Relaxed);
-                            frame_errors.fetch_add(1, Ordering::Relaxed);
-                            if out.converged {
-                                undetected.fetch_add(1, Ordering::Relaxed);
-                            }
-                        }
-                        frames_done.fetch_add(1, Ordering::Relaxed);
+                };
+                // With a partial transmission profile only the
+                // all-zero codeword is simulated (asserted above),
+                // so the transmitted bits are all zero too.
+                let received = if tx_len == n {
+                    channel.transmit_codeword(&codeword)
+                } else {
+                    channel.transmit_codeword(&zero_tx)
+                };
+                handle.expand_llrs_into(&received, &mut llrs);
+                codewords.push(codeword);
+            }
+            let results = decoder.decode_block(&llrs, cfg.max_iterations);
+            for (out, codeword) in results.iter().zip(&codewords) {
+                total_iterations.fetch_add(u64::from(out.iterations), Ordering::Relaxed);
+                let mut errors_this_frame = 0u64;
+                for &pos in count_positions.iter() {
+                    if out.hard_decision.get(pos as usize) != codeword.get(pos as usize) {
+                        errors_this_frame += 1;
                     }
                 }
-            });
+                if errors_this_frame > 0 {
+                    bit_errors.fetch_add(errors_this_frame, Ordering::Relaxed);
+                    frame_errors.fetch_add(1, Ordering::Relaxed);
+                    if out.converged {
+                        undetected.fetch_add(1, Ordering::Relaxed);
+                    }
+                }
+                frames_done.fetch_add(1, Ordering::Relaxed);
+            }
         }
-    });
+    };
+    if threads == 1 {
+        // A lone worker runs on the calling thread: the orchestrator
+        // calls the engine once per chunk, and spawning a thread per
+        // call costs as much as decoding a small chunk.
+        worker(0);
+    } else {
+        std::thread::scope(|scope| {
+            for t in 0..threads {
+                let worker = &worker;
+                scope.spawn(move || worker(t));
+            }
+        });
+    }
 
     PointResult {
         ebn0_db: cfg.ebn0_db,
@@ -519,32 +514,6 @@ where
         total_iterations: total_iterations.load(Ordering::Relaxed),
         info_bits_per_frame,
     }
-}
-
-/// Sweeps a list of Eb/N0 points (the x-axis of the paper's Figure 4)
-/// with a [`DecoderSpec`]-named decoder.
-///
-/// Each point reuses `base` with its `ebn0_db` replaced and the seed
-/// offset by the point index, so points are independent but reproducible.
-pub fn run_curve_spec(
-    code: &Arc<LdpcCode>,
-    encoder: Option<&Arc<Encoder>>,
-    ebn0_points: &[f64],
-    base: &MonteCarloConfig,
-    spec: &DecoderSpec,
-) -> Vec<PointResult> {
-    ebn0_points
-        .iter()
-        .enumerate()
-        .map(|(i, &ebn0_db)| {
-            let cfg = MonteCarloConfig {
-                ebn0_db,
-                seed: base.seed.wrapping_add(i as u64 * CURVE_SEED_STRIDE),
-                ..base.clone()
-            };
-            run_point_spec(code, encoder, &cfg, spec)
-        })
-        .collect()
 }
 
 /// Renders a sweep as CSV with header
@@ -623,14 +592,10 @@ mod tests {
     #[test]
     fn ber_decreases_with_snr() {
         let code = demo_code();
-        let points = run_curve_spec(
-            &code,
-            None,
-            &[0.0, 3.0, 6.0],
-            &quick_cfg(0.0),
-            &spec("nms:1.25"),
-        );
-        assert_eq!(points.len(), 3);
+        let points: Vec<PointResult> = [0.0, 3.0, 6.0]
+            .iter()
+            .map(|&ebn0| run_point_spec(&code, None, &quick_cfg(ebn0), &spec("nms:1.25")))
+            .collect();
         assert!(
             points[0].ber() > points[2].ber(),
             "ber(0dB)={} vs ber(6dB)={}",
@@ -687,8 +652,8 @@ mod tests {
     #[test]
     fn csv_has_header_and_rows() {
         let code = demo_code();
-        let points = run_curve_spec(&code, None, &[5.0], &quick_cfg(5.0), &spec("nms:1.25"));
-        let csv = to_csv(&points);
+        let point = run_point_spec(&code, None, &quick_cfg(5.0), &spec("nms:1.25"));
+        let csv = to_csv(&[point]);
         assert!(csv.starts_with("ebn0_db,frames"));
         assert_eq!(csv.lines().count(), 2);
     }

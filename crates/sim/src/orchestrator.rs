@@ -1,5 +1,5 @@
-//! Adaptive, resumable sweep orchestration — the scale-out door of the
-//! Monte-Carlo engine (ROADMAP item "sweep orchestration at scale").
+//! Adaptive, resumable sweep orchestration — the Monte-Carlo door
+//! behind `ldpc-tool simulate` and `ldpc-tool sweep`.
 //!
 //! Publication-depth waterfall curves (the paper's Fig. 4 at BER 1e-7)
 //! need ~1e7 frames per point at high SNR but only thousands at low SNR.
@@ -21,7 +21,7 @@
 //!   counts come from [`PointResult::per_confidence`].
 //! * **Content-addressed resume.** Every finished chunk is written to an
 //!   on-disk cache keyed by the SHA-256 of its full identity (canonical
-//!   scenario string, Eb/N0, seed, frame budget, iteration budget — see
+//!   scenario string, Eb/N0, seed, frame count, iteration budget — see
 //!   [`chunk_key`]). A re-run with a warm cache adopts the cached chunks
 //!   and simulates nothing; a run with a *larger* budget or a different
 //!   error target re-uses every chunk it can and simulates only the
@@ -34,13 +34,18 @@
 //! of a multithreaded engine run of the same point would draw, and chunk
 //! 0 is bit-identical to a plain single-threaded
 //! [`run_point_scenario`](crate::run_point_scenario) run of the chunk
-//! budget. A point stops at the shortest chunk *prefix* whose cumulative
-//! frame errors reach the target, and its merged [`PointResult`] sums
-//! exactly that prefix — so the merged counts are **invariant under the
-//! worker-thread count and under cold/warm/resumed execution** (pinned
-//! by tests). Speculative chunks beyond the stop prefix are bounded by
-//! the in-flight window (one chunk per worker) and are cached for
-//! future resumes rather than discarded.
+//! budget. Every chunk holds [`SweepConfig::chunk_frames`] frames except
+//! the last, which holds what is left of the cap, so a point simulates
+//! exactly `max_frames` frames unless its target stops it first. A point
+//! stops at the shortest chunk *prefix* whose cumulative frame errors
+//! reach the target, and its merged [`PointResult`] sums exactly that
+//! prefix — so the merged counts are **invariant under the worker-thread
+//! count and under cold/warm/resumed execution** (pinned by tests).
+//! Speculative chunks beyond the stop prefix are bounded by the
+//! in-flight window (one chunk per worker) and are cached for future
+//! resumes rather than discarded. Scheduling state per point is a
+//! running prefix sum plus the completions inside that window, so a cap
+//! of any size costs no memory up front.
 //!
 //! # Example
 //!
@@ -67,7 +72,7 @@ use crate::{
     WORKER_SEED_STRIDE,
 };
 use ldpc_core::CodeHandle;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -185,7 +190,7 @@ fn sha256(data: &[u8]) -> [u8; 32] {
 /// merging. A chunk is a single-threaded engine run of a fixed frame
 /// budget with no early stopping, so its counts are a pure function of
 /// its key.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 struct ChunkCounts {
     frames: u64,
     bit_errors: u64,
@@ -207,6 +212,20 @@ impl ChunkCounts {
         }
     }
 
+    /// Adds another chunk's counts (the merge of one prefix step).
+    fn absorb(&mut self, other: &Self) {
+        debug_assert!(
+            self.frames == 0 || self.info_bits_per_frame == other.info_bits_per_frame,
+            "chunks of one unit must count the same positions"
+        );
+        self.frames += other.frames;
+        self.bit_errors += other.bit_errors;
+        self.frame_errors += other.frame_errors;
+        self.undetected_frame_errors += other.undetected_frame_errors;
+        self.total_iterations += other.total_iterations;
+        self.info_bits_per_frame = other.info_bits_per_frame;
+    }
+
     fn render(&self) -> String {
         format!(
             "frames={}\nbit_errors={}\nframe_errors={}\nundetected_frame_errors={}\n\
@@ -221,14 +240,7 @@ impl ChunkCounts {
     }
 
     fn parse(text: &str) -> Option<Self> {
-        let mut counts = Self {
-            frames: 0,
-            bit_errors: 0,
-            frame_errors: 0,
-            undetected_frame_errors: 0,
-            total_iterations: 0,
-            info_bits_per_frame: 0,
-        };
+        let mut counts = Self::default();
         let mut seen = 0u32;
         for line in text.lines() {
             let (key, value) = line.split_once('=')?;
@@ -259,7 +271,8 @@ const CHUNK_SEPARATOR: &str = "----\n";
 /// canonical scenario string (specs render canonically, so `minsum` and
 /// `ms` address the same chunks), the operating point (`{:?}` on `f64`
 /// is the shortest round-trip form), the chunk's own engine seed, its
-/// frame budget, and the decoder iteration budget. The error *target*
+/// frame count (a point's last chunk may be partial and is keyed by its
+/// real count), and the decoder iteration budget. The error *target*
 /// is deliberately absent: chunks always run their full budget with no
 /// early stop, so the same cache serves any target — adaptive stopping
 /// is applied between chunks at merge time.
@@ -345,20 +358,20 @@ pub struct SweepUnit {
 }
 
 impl SweepUnit {
-    fn chunk_seed(&self, chunk_index: usize) -> u64 {
+    fn chunk_seed(&self, chunk_index: u64) -> u64 {
         self.seed
-            .wrapping_add(WORKER_SEED_STRIDE.wrapping_mul(chunk_index as u64))
+            .wrapping_add(WORKER_SEED_STRIDE.wrapping_mul(chunk_index))
     }
 }
 
 /// Expands scenarios × Eb/N0 points into [`SweepUnit`]s with the
 /// workspace's standard seed derivation: point `i` of every scenario is
-/// seeded `base_seed + i · CURVE_SEED_STRIDE`, exactly like
-/// [`run_curve_scenario`](crate::run_curve_scenario) — so an orchestrated
-/// sweep at `target_frame_errors: 0` with a whole-budget chunk
-/// reproduces the legacy curve bit for bit (pinned by tests). Unit
-/// order is scenario-major with Eb/N0 innermost, matching `ldpc-tool
-/// sweep`'s CSV row order.
+/// seeded `base_seed + i · 0x5151_5151` — so an orchestrated sweep at
+/// `target_frame_errors: 0` with a whole-budget chunk reproduces a
+/// single-threaded [`run_point_scenario`](crate::run_point_scenario) of
+/// each point at that seed bit for bit (pinned by tests). Unit order is
+/// scenario-major with Eb/N0 innermost, matching `ldpc-tool sweep`'s CSV
+/// row order.
 pub fn sweep_grid(scenarios: &[Scenario], ebn0_points: &[f64], base_seed: u64) -> Vec<SweepUnit> {
     let mut units = Vec::with_capacity(scenarios.len() * ebn0_points.len());
     for scenario in scenarios {
@@ -376,16 +389,17 @@ pub fn sweep_grid(scenarios: &[Scenario], ebn0_points: &[f64], base_seed: u64) -
 /// Configuration of one orchestrated sweep (applies to every unit).
 #[derive(Debug, Clone)]
 pub struct SweepConfig {
-    /// Frame cap per point, rounded **up** to a whole number of chunks
-    /// (see [`SweepUnitResult::effective_max_frames`]) so resumed and
-    /// cold runs decompose identically.
+    /// Frame cap per point, met exactly: the last chunk holds whatever
+    /// is left after the whole chunks.
     pub max_frames: u64,
     /// Stop a point once its merged chunk prefix has this many frame
     /// errors (0 = run every point to the cap).
     pub target_frame_errors: u64,
     /// Frames per chunk — the scheduling and caching quantum. Clamped
     /// to `1..=max_frames`. Smaller chunks stop more precisely and
-    /// parallelize better; larger chunks amortize per-chunk setup.
+    /// parallelize better; larger chunks amortize per-chunk setup. The
+    /// default, 256, is a multiple of every decoder's block size (1, 8,
+    /// 64 frames), so no chunk but a point's last splits a packed word.
     pub chunk_frames: u64,
     /// Decoder iteration budget per frame (part of the cache key).
     pub max_iterations: u32,
@@ -405,7 +419,7 @@ impl Default for SweepConfig {
         Self {
             max_frames: 10_000,
             target_frame_errors: 100,
-            chunk_frames: 1_000,
+            chunk_frames: 256,
             max_iterations: 18,
             threads: 0,
             cache_dir: None,
@@ -431,10 +445,8 @@ pub struct SweepUnitResult {
     pub frames_from_cache: u64,
     /// Chunks merged into `point` (the stop prefix length).
     pub chunks_merged: u64,
-    /// The cap after rounding up to whole chunks.
-    pub effective_max_frames: u64,
     /// `true` if the point stopped on reaching the frame-error target,
-    /// `false` if it exhausted `effective_max_frames`.
+    /// `false` if it exhausted the frame cap.
     pub hit_target: bool,
 }
 
@@ -473,7 +485,7 @@ impl std::error::Error for SweepError {}
 /// whether the error target (rather than the cap) ended it.
 #[derive(Debug, Clone, Copy)]
 struct Stop {
-    chunks: usize,
+    chunks: u64,
     hit_target: bool,
 }
 
@@ -481,47 +493,52 @@ struct Stop {
 /// prefix only ever advances over contiguous completed chunks from 0,
 /// and the stop rule is evaluated on that prefix alone — which is what
 /// makes the merged result independent of scheduling.
+///
+/// The state is a running sum of the prefix plus the completions that
+/// arrived ahead of it. Chunks are only handed out inside the
+/// speculation window (`prefix_len + threads`), so at most `threads`
+/// completions ever wait here, whatever the chunk count.
 struct PointState {
-    n_chunks: usize,
+    /// Chunks in the point's frame cap (the last may be partial).
+    n_chunks: u64,
     /// Next chunk index not yet handed to a worker.
-    next: usize,
-    /// Chunks handed out but not yet recorded.
-    in_flight: usize,
-    completed: Vec<Option<ChunkCounts>>,
-    /// Contiguous completed chunks from 0 already counted into the
-    /// prefix error tally.
-    prefix_len: usize,
-    prefix_errors: u64,
+    next: u64,
+    /// Completed chunks past the merge prefix, by index.
+    ahead: BTreeMap<u64, ChunkCounts>,
+    /// Contiguous completed chunks from 0 summed into `merged`.
+    prefix_len: u64,
+    merged: ChunkCounts,
     stop: Option<Stop>,
     frames_simulated: u64,
     frames_from_cache: u64,
 }
 
 impl PointState {
-    fn new(n_chunks: usize) -> Self {
+    fn new(n_chunks: u64) -> Self {
         Self {
             n_chunks,
             next: 0,
-            in_flight: 0,
-            completed: vec![None; n_chunks],
+            ahead: BTreeMap::new(),
             prefix_len: 0,
-            prefix_errors: 0,
+            merged: ChunkCounts::default(),
             stop: None,
             frames_simulated: 0,
             frames_from_cache: 0,
         }
     }
 
-    /// Advances the merge prefix over newly contiguous chunks and
-    /// applies the stop rule.
-    fn advance(&mut self, target_frame_errors: u64) {
-        while self.stop.is_none() {
-            let Some(Some(counts)) = self.completed.get(self.prefix_len) else {
-                break;
-            };
-            self.prefix_errors += counts.frame_errors;
+    /// Records chunk `c`, advances the merge prefix over newly
+    /// contiguous chunks and applies the stop rule. A chunk that lands
+    /// after the stop is speculation: it is not merged.
+    fn record(&mut self, c: u64, counts: ChunkCounts, target_frame_errors: u64) {
+        if self.stop.is_some() {
+            return;
+        }
+        self.ahead.insert(c, counts);
+        while let Some(counts) = self.ahead.remove(&self.prefix_len) {
+            self.merged.absorb(&counts);
             self.prefix_len += 1;
-            if target_frame_errors > 0 && self.prefix_errors >= target_frame_errors {
+            if target_frame_errors > 0 && self.merged.frame_errors >= target_frame_errors {
                 self.stop = Some(Stop {
                     chunks: self.prefix_len,
                     hit_target: true,
@@ -531,6 +548,10 @@ impl PointState {
                     chunks: self.n_chunks,
                     hit_target: false,
                 });
+            }
+            if self.stop.is_some() {
+                self.ahead.clear();
+                break;
             }
         }
     }
@@ -550,15 +571,14 @@ impl Sched {
     /// stop rule to one chunk per worker; when a point's window is
     /// full, workers flow to the next point — work stealing across the
     /// grid.
-    fn take_job(&mut self, window: usize) -> Option<(usize, usize)> {
+    fn take_job(&mut self, window: u64) -> Option<(usize, u64)> {
         for (p, point) in self.points.iter_mut().enumerate() {
             if point.stop.is_none()
                 && point.next < point.n_chunks
-                && point.next < point.prefix_len + window
+                && point.next < point.prefix_len.saturating_add(window)
             {
                 let c = point.next;
                 point.next += 1;
-                point.in_flight += 1;
                 return Some((p, c));
             }
         }
@@ -611,7 +631,18 @@ pub fn run_sweep(
         cfg.threads
     };
     let chunk = cfg.chunk_frames.clamp(1, cfg.max_frames);
-    let n_chunks = usize::try_from(cfg.max_frames.div_ceil(chunk)).expect("chunk count fits usize");
+    let n_chunks = cfg.max_frames.div_ceil(chunk);
+    // Whole chunks, then whatever is left of the cap.
+    let chunk_len = |c: u64| chunk.min(cfg.max_frames - c * chunk);
+    let key_of = |unit: &SweepUnit, c: u64| {
+        chunk_key(
+            &unit.scenario,
+            unit.ebn0_db,
+            unit.chunk_seed(c),
+            chunk_len(c),
+            cfg.max_iterations,
+        )
+    };
     let progress = cfg.progress_frames.as_deref();
 
     // Phase 1: adopt each unit's contiguous cached prefix serially. A
@@ -621,24 +652,16 @@ pub fn run_sweep(
     for unit in units {
         let mut state = PointState::new(n_chunks);
         if let Some(dir) = &cfg.cache_dir {
-            while state.stop.is_none() && state.prefix_len < n_chunks {
+            while state.stop.is_none() {
                 let c = state.prefix_len;
-                let key = chunk_key(
-                    &unit.scenario,
-                    unit.ebn0_db,
-                    unit.chunk_seed(c),
-                    chunk,
-                    cfg.max_iterations,
-                );
-                let Some(counts) = load_chunk(dir, &key, chunk) else {
+                let Some(counts) = load_chunk(dir, &key_of(unit, c), chunk_len(c)) else {
                     break;
                 };
                 state.frames_from_cache += counts.frames;
                 if let Some(progress) = progress {
                     progress.fetch_add(counts.frames, Ordering::Relaxed);
                 }
-                state.completed[c] = Some(counts);
-                state.advance(cfg.target_frame_errors);
+                state.record(c, counts, cfg.target_frame_errors);
             }
             state.next = state.prefix_len;
         }
@@ -666,27 +689,22 @@ pub fn run_sweep(
                             if st.error.is_some() || st.unresolved == 0 {
                                 return;
                             }
-                            if let Some(job) = st.take_job(threads) {
+                            if let Some(job) = st.take_job(threads as u64) {
                                 break job;
                             }
                             st = work_cv.wait(st).unwrap();
                         }
                     };
                     let unit = &units[p];
-                    let key = chunk_key(
-                        &unit.scenario,
-                        unit.ebn0_db,
-                        unit.chunk_seed(c),
-                        chunk,
-                        cfg.max_iterations,
-                    );
+                    let key = key_of(unit, c);
+                    let frames = chunk_len(c);
                     let mut from_cache = false;
                     let outcome = (|| {
                         if let Some(dir) = &cfg.cache_dir {
                             // Beyond-prefix chunks cached by an earlier
                             // speculative run are found here, after the
                             // serial preload stopped at its first miss.
-                            if let Some(counts) = load_chunk(dir, &key, chunk) {
+                            if let Some(counts) = load_chunk(dir, &key, frames) {
                                 from_cache = true;
                                 if let Some(progress) = progress {
                                     progress.fetch_add(counts.frames, Ordering::Relaxed);
@@ -697,7 +715,7 @@ pub fn run_sweep(
                         let handle = code_handle(&handles, &unit.scenario)?;
                         let mc = MonteCarloConfig {
                             ebn0_db: unit.ebn0_db,
-                            max_frames: chunk,
+                            max_frames: frames,
                             target_frame_errors: 0,
                             max_iterations: cfg.max_iterations,
                             seed: unit.chunk_seed(c),
@@ -716,15 +734,13 @@ pub fn run_sweep(
                     match outcome {
                         Ok(counts) => {
                             let point = &mut st.points[p];
-                            point.in_flight -= 1;
                             if from_cache {
                                 point.frames_from_cache += counts.frames;
                             } else {
                                 point.frames_simulated += counts.frames;
                             }
-                            point.completed[c] = Some(counts);
                             let was_resolved = point.stop.is_some();
-                            point.advance(cfg.target_frame_errors);
+                            point.record(c, counts, cfg.target_frame_errors);
                             if !was_resolved && point.stop.is_some() {
                                 st.unresolved -= 1;
                             }
@@ -749,38 +765,22 @@ pub fn run_sweep(
         .zip(sched.points)
         .map(|(unit, state)| {
             let stop = state.stop.expect("every point resolved");
-            let mut point = PointResult {
-                ebn0_db: unit.ebn0_db,
-                frames: 0,
-                bit_errors: 0,
-                frame_errors: 0,
-                undetected_frame_errors: 0,
-                total_iterations: 0,
-                info_bits_per_frame: 0,
-            };
-            for counts in state.completed[..stop.chunks]
-                .iter()
-                .map(|c| c.expect("merged prefix is complete"))
-            {
-                debug_assert!(
-                    point.frames == 0 || point.info_bits_per_frame == counts.info_bits_per_frame,
-                    "chunks of one unit must count the same positions"
-                );
-                point.frames += counts.frames;
-                point.bit_errors += counts.bit_errors;
-                point.frame_errors += counts.frame_errors;
-                point.undetected_frame_errors += counts.undetected_frame_errors;
-                point.total_iterations += counts.total_iterations;
-                point.info_bits_per_frame = counts.info_bits_per_frame;
-            }
+            let merged = state.merged;
             SweepUnitResult {
                 scenario: unit.scenario.clone(),
                 ebn0_db: unit.ebn0_db,
-                point,
+                point: PointResult {
+                    ebn0_db: unit.ebn0_db,
+                    frames: merged.frames,
+                    bit_errors: merged.bit_errors,
+                    frame_errors: merged.frame_errors,
+                    undetected_frame_errors: merged.undetected_frame_errors,
+                    total_iterations: merged.total_iterations,
+                    info_bits_per_frame: merged.info_bits_per_frame,
+                },
                 frames_simulated: state.frames_simulated,
                 frames_from_cache: state.frames_from_cache,
-                chunks_merged: stop.chunks as u64,
-                effective_max_frames: n_chunks as u64 * chunk,
+                chunks_merged: stop.chunks,
                 hit_target: stop.hit_target,
             }
         })
@@ -790,7 +790,7 @@ pub fn run_sweep(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{run_curve_scenario_with, run_point_scenario_with};
+    use crate::run_point_scenario;
 
     fn sc(s: &str) -> Scenario {
         Scenario::parse(s).unwrap()
@@ -878,17 +878,17 @@ mod tests {
 
     #[test]
     fn whole_budget_chunk_matches_curve_door_exactly() {
-        // target 0 + one chunk per point ≡ the legacy curve run: same
-        // seeds, same single-threaded engine, bit-identical counts.
+        // target 0 + one chunk per point ≡ a single-threaded engine run
+        // of each point at its curve seed: bit-identical counts.
         let scenario = sc("demo / awgn / nms:1.25");
         let ebn0s = [2.0, 4.0];
         let units = sweep_grid(std::slice::from_ref(&scenario), &ebn0s, 99);
-        assert_eq!(units[1].seed, 99u64.wrapping_add(CURVE_SEED_STRIDE));
+        assert_eq!(units[1].seed, 99u64.wrapping_add(0x5151_5151));
         let results = run_sweep(&units, &quick_sweep_cfg()).unwrap();
-        let handle = scenario.build_code().unwrap();
-        let curve = run_curve_scenario_with(&handle, &scenario, &ebn0s, &point_cfg(0.0, 99, 200));
         assert_eq!(results.len(), 2);
-        for (r, expected) in results.iter().zip(curve) {
+        for (i, (r, &ebn0_db)) in results.iter().zip(&ebn0s).enumerate() {
+            let seed = 99u64.wrapping_add(i as u64 * 0x5151_5151);
+            let expected = run_point_scenario(&scenario, &point_cfg(ebn0_db, seed, 200)).unwrap();
             assert_eq!(r.point, expected);
             assert_eq!(r.frames_simulated, 200);
             assert_eq!(r.frames_from_cache, 0);
@@ -907,11 +907,10 @@ mod tests {
             ..quick_sweep_cfg()
         };
         let result = &run_sweep(&units, &cfg).unwrap()[0];
-        let handle = scenario.build_code().unwrap();
         let mut expected = (0u64, 0u64, 0u64, 0u64);
         for c in 0..3 {
             let seed = 7u64.wrapping_add(WORKER_SEED_STRIDE.wrapping_mul(c));
-            let p = run_point_scenario_with(&handle, &scenario, &point_cfg(3.0, seed, 50));
+            let p = run_point_scenario(&scenario, &point_cfg(3.0, seed, 50)).unwrap();
             expected.0 += p.frames;
             expected.1 += p.bit_errors;
             expected.2 += p.frame_errors;
@@ -943,17 +942,93 @@ mod tests {
     }
 
     #[test]
-    fn cap_rounds_up_to_whole_chunks() {
-        let units = sweep_grid(&[sc("demo / awgn / fixed")], &[4.0], 1);
+    fn cap_is_exact_with_a_partial_last_chunk() {
+        // 250 frames in 100-frame chunks: 100 + 100 + 50, the last chunk
+        // an engine run of its real length under its own key.
+        let dir = temp_cache("partial");
+        let scenario = sc("demo / awgn / fixed");
+        let units = sweep_grid(std::slice::from_ref(&scenario), &[2.0], 1);
         let cfg = SweepConfig {
             max_frames: 250,
             chunk_frames: 100,
+            cache_dir: Some(dir.clone()),
             ..quick_sweep_cfg()
         };
         let result = &run_sweep(&units, &cfg).unwrap()[0];
-        assert_eq!(result.effective_max_frames, 300);
-        assert_eq!(result.point.frames, 300);
+        assert_eq!(result.point.frames, 250);
+        assert_eq!(result.frames_simulated, 250);
+        assert_eq!(result.chunks_merged, 3);
         assert!(!result.hit_target);
+        let mut expected = ChunkCounts::default();
+        for (c, frames) in [(0u64, 100u64), (1, 100), (2, 50)] {
+            let seed = units[0].chunk_seed(c);
+            let p = run_point_scenario(&scenario, &point_cfg(2.0, seed, frames)).unwrap();
+            expected.absorb(&ChunkCounts::from_point(&p));
+            let key = chunk_key(&scenario, 2.0, seed, frames, 20);
+            assert_eq!(
+                load_chunk(&dir, &key, frames),
+                Some(ChunkCounts::from_point(&p))
+            );
+        }
+        assert_eq!(ChunkCounts::from_point(&result.point), expected);
+        // Raising the cap re-simulates the partial chunk at full length
+        // and reuses the two whole ones.
+        let bigger = SweepConfig {
+            max_frames: 300,
+            ..cfg
+        };
+        let grown = &run_sweep(&units, &bigger).unwrap()[0];
+        assert_eq!(grown.point.frames, 300);
+        assert_eq!(grown.frames_from_cache, 200);
+        assert_eq!(grown.frames_simulated, 100);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn huge_caps_cost_no_memory_up_front() {
+        // A slot per chunk would need terabytes at 1e11 one-frame chunks
+        // and overflow at u64::MAX; the target stops both after a
+        // handful of chunks at -4 dB.
+        let units = sweep_grid(&[sc("demo / awgn / nms:1.25")], &[-4.0], 3);
+        for max_frames in [100_000_000_000, u64::MAX] {
+            let cfg = SweepConfig {
+                max_frames,
+                target_frame_errors: 1,
+                chunk_frames: 1,
+                threads: 4,
+                ..quick_sweep_cfg()
+            };
+            let result = &run_sweep(&units, &cfg).unwrap()[0];
+            assert!(result.hit_target);
+            assert_eq!(result.point.frame_errors, 1);
+            assert_eq!(result.point.frames, result.chunks_merged);
+        }
+    }
+
+    #[test]
+    fn out_of_order_completions_wait_only_inside_the_window() {
+        let counts = ChunkCounts {
+            frames: 10,
+            frame_errors: 1,
+            info_bits_per_frame: 8,
+            ..ChunkCounts::default()
+        };
+        let mut state = PointState::new(u64::MAX);
+        // Chunks 1..4 finish before chunk 0: they wait, nothing merges.
+        for c in 1..4 {
+            state.record(c, counts, 100);
+        }
+        assert_eq!((state.prefix_len, state.ahead.len()), (0, 3));
+        // Chunk 0 releases the whole run of four.
+        state.record(0, counts, 100);
+        assert_eq!((state.prefix_len, state.ahead.len()), (4, 0));
+        assert_eq!(state.merged.frames, 40);
+        // The target fires on chunk 4's errors; later arrivals are
+        // speculation and never merge.
+        state.record(4, counts, 5);
+        assert!(state.stop.is_some_and(|s| s.hit_target && s.chunks == 5));
+        state.record(5, counts, 5);
+        assert_eq!((state.merged.frames, state.ahead.len()), (50, 0));
     }
 
     #[test]

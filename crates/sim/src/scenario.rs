@@ -27,8 +27,8 @@
 //! # Ok::<(), ldpc_sim::ScenarioError>(())
 //! ```
 //!
-//! [`run_point_scenario`] and [`run_curve_scenario`] drive the same
-//! Monte-Carlo engine as every other door in this crate: the code spec
+//! [`run_point_scenario`] drives the same Monte-Carlo engine as every
+//! other door in this crate: the code spec
 //! builds a [`CodeHandle`] (transmission profile included), the channel
 //! spec builds one [`Channel`](ldpc_channel::Channel) per worker, and
 //! the decoder spec builds one [`BlockDecoder`](ldpc_core::BlockDecoder)
@@ -237,25 +237,15 @@ pub fn run_point_scenario(
     cfg: &MonteCarloConfig,
 ) -> Result<PointResult, ScenarioError> {
     let handle = scenario.build_code()?;
-    Ok(run_point_scenario_with(&handle, scenario, cfg))
+    Ok(run_point_scenario_observed(&handle, scenario, cfg, None))
 }
 
-/// [`run_point_scenario`] over an already-built code handle (normally
-/// `scenario.build_code()`), so grid sweeps can build each code once
-/// and reuse it across channels and decoders. Only the scenario's
-/// channel and decoder specs are consulted; the code comes from
-/// `handle`.
-pub fn run_point_scenario_with(
-    handle: &Arc<dyn CodeHandle>,
-    scenario: &Scenario,
-    cfg: &MonteCarloConfig,
-) -> PointResult {
-    run_point_scenario_observed(handle, scenario, cfg, None)
-}
-
-/// [`run_point_scenario_with`] plus an optional external progress
-/// counter, incremented at frame-claim time (the orchestrator's live
-/// gauge; see `run_point_engine`).
+/// [`run_point_scenario`] over an already-built code handle (the
+/// orchestrator builds each code once per sweep), plus an optional
+/// external progress counter, incremented at frame-claim time (the
+/// orchestrator's live gauge; see `run_point_engine`). Only the
+/// scenario's channel and decoder specs are consulted; the code comes
+/// from `handle`.
 pub(crate) fn run_point_scenario_observed(
     handle: &Arc<dyn CodeHandle>,
     scenario: &Scenario,
@@ -272,54 +262,6 @@ pub(crate) fn run_point_scenario_observed(
         || scenario.decoder.build(handle.code()),
         progress,
     )
-}
-
-/// Sweeps a list of Eb/N0 points of a [`Scenario`] — the scenario
-/// counterpart of [`run_curve_spec`](crate::run_curve_spec), with
-/// the same per-point seed derivation (`base.seed + i · 0x5151_5151`),
-/// so a scenario sweep's point `i` reproduces a
-/// [`run_point_scenario`] run with that point's config exactly.
-///
-/// The code is built once for the whole curve.
-///
-/// # Errors
-///
-/// Returns [`ScenarioError::Code`] if the code spec cannot be built.
-pub fn run_curve_scenario(
-    scenario: &Scenario,
-    ebn0_points: &[f64],
-    base: &MonteCarloConfig,
-) -> Result<Vec<PointResult>, ScenarioError> {
-    let handle = scenario.build_code()?;
-    Ok(run_curve_scenario_with(
-        &handle,
-        scenario,
-        ebn0_points,
-        base,
-    ))
-}
-
-/// [`run_curve_scenario`] over an already-built code handle — the
-/// curve-shaped counterpart of [`run_point_scenario_with`], with the
-/// same per-point seed derivation.
-pub fn run_curve_scenario_with(
-    handle: &Arc<dyn CodeHandle>,
-    scenario: &Scenario,
-    ebn0_points: &[f64],
-    base: &MonteCarloConfig,
-) -> Vec<PointResult> {
-    ebn0_points
-        .iter()
-        .enumerate()
-        .map(|(i, &ebn0_db)| {
-            let cfg = MonteCarloConfig {
-                ebn0_db,
-                seed: base.seed.wrapping_add(i as u64 * crate::CURVE_SEED_STRIDE),
-                ..base.clone()
-            };
-            run_point_scenario_with(handle, scenario, &cfg)
-        })
-        .collect()
 }
 
 /// Splits a comma-separated list of spec strings, re-attaching
@@ -534,24 +476,6 @@ mod tests {
         assert_eq!(exact.frames, coarse.frames);
         // 3-bit channel LLRs are a measurably worse front end at 2 dB.
         assert!(coarse.bit_errors >= exact.bit_errors);
-    }
-
-    #[test]
-    fn curve_points_match_individual_runs() {
-        let sc = Scenario::parse("demo / bsc:0.04 / nms:1.25").unwrap();
-        let base = quick_cfg(3.0);
-        let points = run_curve_scenario(&sc, &[2.0, 4.0], &base).unwrap();
-        assert_eq!(points.len(), 2);
-        let second = run_point_scenario(
-            &sc,
-            &MonteCarloConfig {
-                ebn0_db: 4.0,
-                seed: base.seed.wrapping_add(0x5151_5151),
-                ..base
-            },
-        )
-        .unwrap();
-        assert_eq!(points[1], second);
     }
 
     #[test]

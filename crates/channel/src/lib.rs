@@ -6,7 +6,7 @@
 //!
 //! * [`bpsk_modulate`] — bits to antipodal symbols (0 → +1, 1 → −1);
 //! * [`AwgnChannel`] — additive white Gaussian noise with a deterministic,
-//!   seedable noise stream;
+//!   seedable noise stream drawn by a 256-layer ziggurat;
 //! * [`llr_from_symbol`] / [`AwgnChannel::llrs`] — exact channel LLRs
 //!   `2y/σ²` with the positive-means-zero sign convention used by the
 //!   decoders;
@@ -38,6 +38,7 @@
 
 pub mod spec;
 mod variants;
+mod ziggurat;
 
 pub use spec::{
     Channel, ChannelKind, ChannelSpec, ChannelSpecError, QuantizedChannel, DEFAULT_BSC_P,
@@ -50,7 +51,7 @@ pub use variants::{
 
 use gf2::BitVec;
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 
 /// Converts Eb/N0 (dB) to the AWGN noise standard deviation σ for BPSK
 /// with unit symbol energy and the given code rate.
@@ -101,7 +102,7 @@ pub fn bpsk_modulate(codeword: &BitVec) -> Vec<f64> {
 ///
 /// Positive LLR favours bit 0, matching the decoder convention.
 pub fn llr_from_symbol(y: f64, sigma: f64) -> f32 {
-    (2.0 * y / (sigma * sigma)) as f32
+    (y * (2.0 / (sigma * sigma))) as f32
 }
 
 /// A BPSK hard decision on a received symbol (`y < 0` → bit 1).
@@ -113,13 +114,16 @@ pub fn hard_decision(y: f64) -> u8 {
 /// per-instance random stream.
 ///
 /// The noise generator is `StdRng` seeded explicitly, so simulations are
-/// reproducible and parallel workers can use disjoint seeds.
+/// reproducible and parallel workers can use disjoint seeds. Deviates come
+/// from a 256-layer ziggurat (Marsaglia & Tsang 2000) whose tables are
+/// compile-time constants; every method draws exactly one deviate per
+/// symbol from the same sampler, so [`llrs`](Self::llrs) of
+/// [`bpsk_modulate`]`(cw)` equals [`transmit_codeword`](Self::transmit_codeword)`(cw)`
+/// for the same seed.
 #[derive(Debug, Clone)]
 pub struct AwgnChannel {
     sigma: f64,
     rng: StdRng,
-    /// Cached spare deviate of the Box–Muller pair.
-    spare: Option<f64>,
 }
 
 impl AwgnChannel {
@@ -136,7 +140,6 @@ impl AwgnChannel {
         Self {
             sigma,
             rng: StdRng::seed_from_u64(seed),
-            spare: None,
         }
     }
 
@@ -154,26 +157,9 @@ impl AwgnChannel {
         self.sigma
     }
 
-    /// One standard normal deviate (Box–Muller, with the pair cached).
-    fn standard_normal(&mut self) -> f64 {
-        if let Some(z) = self.spare.take() {
-            return z;
-        }
-        loop {
-            let u1: f64 = self.rng.gen();
-            if u1 > f64::MIN_POSITIVE {
-                let u2: f64 = self.rng.gen();
-                let r = (-2.0 * u1.ln()).sqrt();
-                let theta = 2.0 * std::f64::consts::PI * u2;
-                self.spare = Some(r * theta.sin());
-                return r * theta.cos();
-            }
-        }
-    }
-
     /// Transmits one symbol, returning the noisy observation.
     pub fn transmit(&mut self, symbol: f64) -> f64 {
-        symbol + self.sigma * self.standard_normal()
+        symbol + self.sigma * ziggurat::standard_normal(&mut self.rng)
     }
 
     /// Transmits a symbol block.
@@ -202,9 +188,26 @@ impl AwgnChannel {
     }
 
     /// Modulates a codeword, transmits it, and demaps to LLRs in one step.
+    ///
+    /// Reads the codeword a word at a time, with the generator held in a
+    /// local for the whole frame; the LLRs equal those of
+    /// [`llrs`](Self::llrs) on [`bpsk_modulate`]`(codeword)`.
     pub fn transmit_codeword(&mut self, codeword: &BitVec) -> Vec<f32> {
-        let symbols = bpsk_modulate(codeword);
-        self.llrs(&symbols)
+        let sigma = self.sigma;
+        if sigma == 0.0 {
+            return self.llrs(&bpsk_modulate(codeword));
+        }
+        let mut llrs = vec![0f32; codeword.len()];
+        let mut rng = self.rng.clone();
+        for (chunk, &word) in llrs.chunks_mut(64).zip(codeword.words()) {
+            for (b, llr) in chunk.iter_mut().enumerate() {
+                let symbol = if word >> b & 1 == 1 { -1.0 } else { 1.0 };
+                let y = symbol + sigma * ziggurat::standard_normal(&mut rng);
+                *llr = llr_from_symbol(y, sigma);
+            }
+        }
+        self.rng = rng;
+        llrs
     }
 }
 
@@ -264,6 +267,23 @@ mod tests {
         let c = AwgnChannel::new(0.7, 10).transmit_block(&symbols);
         assert_eq!(a, b);
         assert_ne!(a, c);
+    }
+
+    #[test]
+    fn every_door_draws_the_same_noise() {
+        let cw: BitVec = (0..300).map(|i| i % 3 == 0 || i % 7 == 0).collect();
+        let symbols = bpsk_modulate(&cw);
+        let whole = AwgnChannel::new(0.7, 5).transmit_codeword(&cw);
+        assert_eq!(AwgnChannel::new(0.7, 5).llrs(&symbols), whole);
+        let mut ch = AwgnChannel::new(0.7, 5);
+        let observed = ch.transmit_block(&symbols);
+        let by_symbol: Vec<f32> = observed.iter().map(|&y| llr_from_symbol(y, 0.7)).collect();
+        assert_eq!(by_symbol, whole);
+        // Consecutive frames continue one stream.
+        let mut split = AwgnChannel::new(0.7, 5);
+        let mut halves = split.transmit_codeword(&cw.slice(0, 150));
+        halves.extend(split.transmit_codeword(&cw.slice(150, 150)));
+        assert_eq!(halves, whole);
     }
 
     #[test]

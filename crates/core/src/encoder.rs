@@ -12,6 +12,12 @@ use std::fmt;
 /// remaining *free* columns carry the message; each pivot column is then a
 /// parity bit equal to a fixed XOR combination of message bits.
 ///
+/// The combinations are stored column by column: message bit `j` owns a
+/// `⌈rank/64⌉`-word mask of the parity bits it feeds, so encoding XORs the
+/// masks of the message's set bits into one parity accumulator. The
+/// leading run of message bits that sit at their own index
+/// (`info_positions()[j] == j`) is copied into the codeword word by word.
+///
 /// For the CCSDS C2 code all 1020 pivots land in the last 1022 columns, so
 /// the first 7154 positions are systematic information bits and the code
 /// matches the CCSDS transmission profile (see
@@ -36,11 +42,15 @@ pub struct Encoder {
     n: usize,
     /// Free (message-carrying) columns, ascending. Length = dimension k.
     info_cols: Vec<u32>,
+    /// Length of the leading run `info_cols[j] == j`.
+    prefix_len: usize,
     /// Pivot column of each parity equation.
     pivot_cols: Vec<u32>,
-    /// Per parity equation: the message bits (indices into `info_cols`
-    /// order) whose XOR gives the pivot bit.
-    combos: Vec<BitVec>,
+    /// Words per parity mask: `⌈rank/64⌉`.
+    parity_words: usize,
+    /// Column-major parity map: words `j·parity_words ..` hold the parity
+    /// equations (bit `r` = equation `r`) that message bit `j` enters.
+    parity_map: Vec<u64>,
 }
 
 impl Encoder {
@@ -70,30 +80,37 @@ impl Encoder {
         }
         let info_cols: Vec<u32> = rref.free_cols().into_iter().map(|c| c as u32).collect();
         let k = info_cols.len();
-        // Map column index -> message position for O(1) combo construction.
+        let prefix_len = info_cols
+            .iter()
+            .enumerate()
+            .take_while(|&(j, &c)| c as usize == j)
+            .count();
+        // Map column index -> message position for O(1) map construction.
         let mut msg_index = vec![u32::MAX; n];
         for (j, &c) in info_cols.iter().enumerate() {
             msg_index[c as usize] = j as u32;
         }
+        let parity_words = rank.div_ceil(64);
+        let mut parity_map = vec![0u64; k * parity_words];
         let mut pivot_cols = Vec::with_capacity(rank);
-        let mut combos = Vec::with_capacity(rank);
         for (row_idx, &pc) in rref.pivot_cols.iter().enumerate() {
             pivot_cols.push(pc as u32);
-            let mut combo = BitVec::zeros(k);
+            let (word, bit) = (row_idx / 64, 1u64 << (row_idx % 64));
             for c in rref.matrix.row(row_idx).iter_ones() {
                 if c != pc {
                     let j = msg_index[c];
                     debug_assert_ne!(j, u32::MAX, "non-pivot column must be free");
-                    combo.set(j as usize, true);
+                    parity_map[j as usize * parity_words + word] |= bit;
                 }
             }
-            combos.push(combo);
         }
         Ok(Self {
             n,
             info_cols,
+            prefix_len,
             pivot_cols,
-            combos,
+            parity_words,
+            parity_map,
         })
     }
 
@@ -115,10 +132,7 @@ impl Encoder {
     /// Returns `true` if the message occupies a contiguous prefix
     /// `0..dimension()` of the codeword.
     pub fn is_systematic_prefix(&self) -> bool {
-        self.info_cols
-            .iter()
-            .enumerate()
-            .all(|(j, &c)| c as usize == j)
+        self.prefix_len == self.dimension()
     }
 
     /// Encodes a message given as a [`BitVec`] of length
@@ -134,18 +148,41 @@ impl Encoder {
                 actual: message.len(),
             });
         }
-        let mut cw = BitVec::zeros(self.n);
-        for (j, &c) in self.info_cols.iter().enumerate() {
+        let msg = message.words();
+        let pw = self.parity_words;
+        let mut parity = vec![0u64; pw];
+        for (wi, &word) in msg.iter().enumerate() {
+            let mut ones = word;
+            while ones != 0 {
+                let j = wi * 64 + ones.trailing_zeros() as usize;
+                ones &= ones - 1;
+                let column = &self.parity_map[j * pw..(j + 1) * pw];
+                for (p, c) in parity.iter_mut().zip(column) {
+                    *p ^= c;
+                }
+            }
+        }
+        let mut cw = vec![0u64; self.n.div_ceil(64)];
+        let (full, rem) = (self.prefix_len / 64, self.prefix_len % 64);
+        cw[..full].copy_from_slice(&msg[..full]);
+        if rem > 0 {
+            cw[full] = msg[full] & ((1u64 << rem) - 1);
+        }
+        let mut set = |c: usize| cw[c / 64] |= 1u64 << (c % 64);
+        for (j, &c) in self.info_cols.iter().enumerate().skip(self.prefix_len) {
             if message.get(j) {
-                cw.set(c as usize, true);
+                set(c as usize);
             }
         }
-        for (eq, &pc) in self.combos.iter().zip(&self.pivot_cols) {
-            if eq.dot(message) {
-                cw.set(pc as usize, true);
+        for (wi, &word) in parity.iter().enumerate() {
+            let mut ones = word;
+            while ones != 0 {
+                let r = wi * 64 + ones.trailing_zeros() as usize;
+                ones &= ones - 1;
+                set(self.pivot_cols[r] as usize);
             }
         }
-        Ok(cw)
+        Ok(BitVec::from_words(self.n, cw))
     }
 
     /// Encodes a message given as 0/1 bytes.

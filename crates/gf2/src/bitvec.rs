@@ -226,11 +226,14 @@ impl BitVec {
     /// Panics if the lengths differ.
     pub fn dot(&self, other: &Self) -> bool {
         assert_eq!(self.len, other.len, "BitVec::dot length mismatch");
-        let mut acc = 0u32;
-        for (a, b) in self.words.iter().zip(&other.words) {
-            acc ^= (a & b).count_ones() & 1;
-        }
-        acc & 1 == 1
+        // The parity of the overlap is the parity of the XOR of its words,
+        // so one popcount serves the whole vector.
+        let acc = self
+            .words
+            .iter()
+            .zip(&other.words)
+            .fold(0u64, |acc, (a, b)| acc ^ (a & b));
+        acc.count_ones() & 1 == 1
     }
 
     /// Iterator over the indices of one bits, in ascending order.

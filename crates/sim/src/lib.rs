@@ -80,7 +80,7 @@ use gf2::BitVec;
 use ldpc_channel::ChannelSpec;
 use ldpc_core::{BlockDecoder, CodeHandle, DecoderSpec, Encoder, LdpcCode, PlainCode};
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::{RngCore, SeedableRng};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -392,6 +392,15 @@ where
         cfg.threads
     };
     let info_bits_per_frame = count_positions.len() as u64;
+    let mut count_mask = BitVec::zeros(n);
+    for &p in count_positions {
+        count_mask.set(p as usize, true);
+    }
+    debug_assert_eq!(
+        count_mask.count_ones(),
+        count_positions.len(),
+        "distinct positions"
+    );
 
     let frames_claimed = AtomicU64::new(0);
     let frames_done = AtomicU64::new(0);
@@ -454,9 +463,7 @@ where
                     Transmission::AllZero => zero.clone(),
                     Transmission::Random => {
                         let enc = encoder.as_ref().expect("checked above");
-                        let msg: BitVec = (0..enc.dimension())
-                            .map(|_| msg_rng.gen_bool(0.5))
-                            .collect();
+                        let msg = random_message(&mut msg_rng, enc.dimension());
                         enc.encode(&msg).expect("message length matches dimension")
                     }
                 };
@@ -474,12 +481,7 @@ where
             let results = decoder.decode_block(&llrs, cfg.max_iterations);
             for (out, codeword) in results.iter().zip(&codewords) {
                 total_iterations.fetch_add(u64::from(out.iterations), Ordering::Relaxed);
-                let mut errors_this_frame = 0u64;
-                for &pos in count_positions.iter() {
-                    if out.hard_decision.get(pos as usize) != codeword.get(pos as usize) {
-                        errors_this_frame += 1;
-                    }
-                }
+                let errors_this_frame = count_errors(&out.hard_decision, codeword, &count_mask);
                 if errors_this_frame > 0 {
                     bit_errors.fetch_add(errors_this_frame, Ordering::Relaxed);
                     frame_errors.fetch_add(1, Ordering::Relaxed);
@@ -514,6 +516,34 @@ where
         total_iterations: total_iterations.load(Ordering::Relaxed),
         info_bits_per_frame,
     }
+}
+
+/// A uniformly random `k`-bit message, filled a word at a time.
+///
+/// Bit `j` is the `j`-th draw's `gen_bool(0.5)`, which is true exactly
+/// when the top bit of `next_u64()` is 0, so the message stream is the
+/// per-bit `gen_bool` stream.
+fn random_message(rng: &mut StdRng, k: usize) -> BitVec {
+    let words = (0..k.div_ceil(64))
+        .map(|w| {
+            (0..(k - 64 * w).min(64)).fold(0u64, |word, b| {
+                word | u64::from(rng.next_u64() >> 63 == 0) << b
+            })
+        })
+        .collect();
+    BitVec::from_words(k, words)
+}
+
+/// Bit errors of a decision against the transmitted codeword, counted
+/// over the set bits of `mask`: `popcount((hard ⊕ codeword) ∧ mask)`.
+fn count_errors(hard: &BitVec, codeword: &BitVec, mask: &BitVec) -> u64 {
+    assert_eq!(hard.len(), mask.len(), "hard decision length mismatch");
+    hard.words()
+        .iter()
+        .zip(codeword.words())
+        .zip(mask.words())
+        .map(|((h, c), m)| u64::from(((h ^ c) & m).count_ones()))
+        .sum()
 }
 
 /// Renders a sweep as CSV with header
@@ -570,6 +600,37 @@ mod tests {
 
     fn spec(s: &str) -> DecoderSpec {
         DecoderSpec::parse(s).unwrap()
+    }
+
+    #[test]
+    fn word_wide_message_is_the_per_bit_gen_bool_stream() {
+        use rand::Rng;
+        for k in [1, 63, 64, 65, 130, 7156] {
+            let mut words = StdRng::seed_from_u64(k as u64);
+            let mut bits = StdRng::seed_from_u64(k as u64);
+            let msg = random_message(&mut words, k);
+            let reference: BitVec = (0..k).map(|_| bits.gen_bool(0.5)).collect();
+            assert_eq!(msg, reference, "k = {k}");
+            // Both consumed exactly one draw per bit.
+            assert_eq!(words.next_u64(), bits.next_u64(), "k = {k}");
+        }
+    }
+
+    #[test]
+    fn masked_popcount_counts_errors_on_the_positions_only() {
+        use rand::Rng;
+        let mut rng = StdRng::seed_from_u64(3);
+        for n in [1, 64, 100, 8176] {
+            let hard: BitVec = (0..n).map(|_| rng.gen_bool(0.3)).collect();
+            let codeword: BitVec = (0..n).map(|_| rng.gen_bool(0.5)).collect();
+            let positions: Vec<usize> = (0..n).filter(|_| rng.gen_bool(0.8)).collect();
+            let per_bit = positions
+                .iter()
+                .filter(|&&p| hard.get(p) != codeword.get(p))
+                .count() as u64;
+            let mask = BitVec::from_indices(n, &positions);
+            assert_eq!(count_errors(&hard, &codeword, &mask), per_bit, "n = {n}");
+        }
     }
 
     #[test]

@@ -277,6 +277,10 @@ const CHUNK_SEPARATOR: &str = "----\n";
 /// early stop, so the same cache serves any target — adaptive stopping
 /// is applied between chunks at merge time.
 ///
+/// The version tag names the noise stream: `v2` chunks hold counts of the
+/// ziggurat AWGN sampler, so a cache filled under `v1` (Box–Muller) is a
+/// miss and re-simulates.
+///
 /// The chunk file stored at `sha256_hex(key).chunk` embeds this key and
 /// is rejected on mismatch, so a (astronomically unlikely) hash
 /// collision or a torn file degrades to a cache miss, never to wrong
@@ -289,7 +293,7 @@ pub fn chunk_key(
     max_iterations: u32,
 ) -> String {
     format!(
-        "ldpc-sweep-chunk-v1\nscenario={scenario}\nebn0_db={ebn0_db:?}\nseed={seed}\n\
+        "ldpc-sweep-chunk-v2\nscenario={scenario}\nebn0_db={ebn0_db:?}\nseed={seed}\n\
          frames={frames}\nmax_iterations={max_iterations}\ntransmission=all-zero\n"
     )
 }
@@ -981,6 +985,46 @@ mod tests {
         assert_eq!(grown.point.frames, 300);
         assert_eq!(grown.frames_from_cache, 200);
         assert_eq!(grown.frames_simulated, 100);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn chunks_cached_under_the_v1_key_are_misses() {
+        let dir = temp_cache("v1");
+        let scenario = sc("demo / awgn / fixed");
+        let units = sweep_grid(std::slice::from_ref(&scenario), &[2.0], 1);
+        let cfg = SweepConfig {
+            max_frames: 100,
+            chunk_frames: 100,
+            cache_dir: Some(dir.clone()),
+            ..quick_sweep_cfg()
+        };
+        let seed = units[0].chunk_seed(0);
+        let key = chunk_key(&scenario, 2.0, seed, 100, 20);
+        assert!(key.starts_with("ldpc-sweep-chunk-v2\n"));
+        // A chunk of the old noise stream, stored under its v1 key.
+        let v1_key = key.replacen("ldpc-sweep-chunk-v2", "ldpc-sweep-chunk-v1", 1);
+        let stale = ChunkCounts {
+            frames: 100,
+            frame_errors: 100,
+            bit_errors: 12_345,
+            info_bits_per_frame: 999,
+            ..ChunkCounts::default()
+        };
+        store_chunk(&dir, &v1_key, &stale).unwrap();
+        assert_eq!(load_chunk(&dir, &v1_key, 100), Some(stale));
+        let result = &run_sweep(&units, &cfg).unwrap()[0];
+        assert_eq!(result.frames_from_cache, 0);
+        assert_eq!(result.frames_simulated, 100);
+        let fresh = run_point_scenario(&scenario, &point_cfg(2.0, seed, 100)).unwrap();
+        assert_eq!(
+            ChunkCounts::from_point(&result.point),
+            ChunkCounts::from_point(&fresh)
+        );
+        assert_eq!(
+            load_chunk(&dir, &key, 100),
+            Some(ChunkCounts::from_point(&fresh))
+        );
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -123,3 +123,23 @@ fn huge_frame_caps_run_without_preallocating() {
         assert_eq!((fields[8], fields[11]), ("1", "target"), "{out}");
     }
 }
+
+/// A row without frame errors prints an exactly-zero lower PER bound.
+#[test]
+fn error_free_row_prints_an_exact_zero_per_lo() {
+    let csv = stdout_of(&[
+        "simulate",
+        "--demo",
+        "--decoder",
+        "fixed@pack=8",
+        "--ebn0",
+        "8",
+        "--frames",
+        "2000",
+    ]);
+    let header: Vec<&str> = csv.lines().next().unwrap().split(',').collect();
+    let row: Vec<&str> = csv.lines().nth(1).unwrap().split(',').collect();
+    let field = |name: &str| row[header.iter().position(|&h| h == name).unwrap()];
+    assert_eq!(field("frame_errors"), "0", "{csv}");
+    assert_eq!(field("per_lo"), "0.000000e0", "{csv}");
+}

@@ -26,10 +26,14 @@
 //! termination), exactly as the hardware would retire a finished frame
 //! from its share of the packed word.
 //!
-//! The fixed-point datapath's frame-packed mirror is
-//! [`PackedFixedDecoder`](crate::PackedFixedDecoder), which packs the 8
-//! frames into the bytes of one `u64` word instead of interleaving them;
-//! it shares this module's [`BatchDecoder`] trait and iteration driver.
+//! A lockstep batch keeps iterating until its slowest frame retires;
+//! finished frames only idle in their slots. The fixed-point datapath's
+//! frame-packed mirror, [`PackedFixedDecoder`](crate::PackedFixedDecoder),
+//! packs the 8 frames into the bytes of one `u64` word instead of
+//! interleaving them and shares this module's [`BatchDecoder`] trait, but
+//! not its driver: it refills each lane from a frame stream the moment
+//! the lane's frame retires
+//! ([`BlockDecoder::decode_stream`](crate::BlockDecoder::decode_stream)).
 
 use crate::decoder::minsum::{alpha_for_iteration, apply_correction, CnScanF32};
 use crate::decoder::{DecodeResult, Decoder, MinSumConfig};
@@ -67,7 +71,7 @@ pub trait BatchDecoder {
     fn name(&self) -> String;
 }
 
-/// Per-batch bookkeeping shared by the batched decoders: which frames are
+/// Per-batch bookkeeping of the lockstep driver: which frames are
 /// still active, and the result snapshot of frames that already finished.
 pub(super) struct BatchState {
     pub(super) active: Vec<bool>,
@@ -101,7 +105,7 @@ impl BatchState {
     }
 }
 
-/// The decoder-specific hooks the shared batch iteration driver needs:
+/// The decoder-specific hooks the lockstep iteration driver needs:
 /// run one iteration's phases, expose per-frame hard decisions, and say
 /// whether early termination is on.
 pub(super) trait BatchPhases {
@@ -121,8 +125,8 @@ pub(super) trait BatchPhases {
     fn early_stop(&self) -> bool;
 }
 
-/// Iteration / early-termination / result-snapshot state machine shared
-/// by the batched decoders: runs phases until every frame converged (or
+/// Iteration / early-termination / result-snapshot state machine of the
+/// lockstep batch decoder: runs phases until every frame converged (or
 /// the budget is spent), retiring each frame the moment its syndrome
 /// becomes zero — exactly the per-frame decoders' semantics, frame by
 /// frame.
@@ -530,7 +534,7 @@ mod tests {
     }
 
     /// The fixed-point datapath's frame-batched mirror is the packed
-    /// decoder; it runs through the same `drive_batch` retirement logic.
+    /// decoder, behind the same `decode_batch` contract.
     #[test]
     fn fixed_batch_matches_per_frame_bit_exactly() {
         let code = demo_code();

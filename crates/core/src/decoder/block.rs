@@ -10,8 +10,17 @@
 //! their sign front end (`llr < 0` ⇒ bit 1) is built into their `decode`
 //! implementations — so they are no longer a separate universe.
 //!
-//! The Monte-Carlo engine in `ldpc-sim`, the conformance suite, and the
-//! throughput benches all consume this trait; a decoder registered in
+//! Two ways in: [`decode_block`](BlockDecoder::decode_block) decodes a
+//! slice of frames, and [`decode_stream`](BlockDecoder::decode_stream)
+//! pulls frames one at a time and reports each result as it finishes.
+//! The default stream groups [`block_frames`](BlockDecoder::block_frames)
+//! frames per `decode_block` call; the packed decoder streams natively,
+//! refilling each lane as its frame retires, so no word waits for its
+//! slowest frame.
+//!
+//! The Monte-Carlo engine in `ldpc-sim` (which streams), the served
+//! coalescer, the conformance suite, and the throughput benches all
+//! consume this trait; a decoder registered in
 //! [`DecoderSpec`](crate::DecoderSpec) is automatically usable by all of
 //! them.
 
@@ -38,6 +47,55 @@ pub trait BlockDecoder {
     ///
     /// Panics if `llrs.len()` is not a positive multiple of [`n`](Self::n).
     fn decode_block(&mut self, llrs: &[f32], max_iterations: u32) -> Vec<DecodeResult>;
+
+    /// Decodes a stream of frames pulled one at a time.
+    ///
+    /// `next(buf)` appends the next frame's `n()` LLRs to `buf` and
+    /// returns `true`, or returns `false` (appending nothing) once the
+    /// stream is exhausted; it is never called again after that.
+    /// `done(index, result)` receives each pulled frame's result exactly
+    /// once, where `index` counts pulled frames from 0. Results may
+    /// arrive out of pull order, but each is the one
+    /// [`decode_block`](Self::decode_block) returns for that frame.
+    ///
+    /// The default groups [`block_frames`](Self::block_frames) frames
+    /// per `decode_block` call and emits them in order. The packed
+    /// decoder overrides it to refill each lane the moment its frame
+    /// retires, so at most a word of frames is in flight.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `next` appends anything but exactly `n()` values.
+    fn decode_stream(
+        &mut self,
+        max_iterations: u32,
+        next: &mut dyn FnMut(&mut Vec<f32>) -> bool,
+        done: &mut dyn FnMut(u64, DecodeResult),
+    ) {
+        let n = self.n();
+        let block = self.block_frames().max(1);
+        let mut llrs = Vec::with_capacity(block * n);
+        let mut first = 0u64;
+        let mut exhausted = false;
+        while !exhausted {
+            llrs.clear();
+            while llrs.len() < block * n {
+                let before = llrs.len();
+                if !next(&mut llrs) {
+                    exhausted = true;
+                    break;
+                }
+                assert_eq!(llrs.len(), before + n, "a streamed frame must hold n LLRs");
+            }
+            if llrs.is_empty() {
+                break;
+            }
+            for result in self.decode_block(&llrs, max_iterations) {
+                done(first, result);
+                first += 1;
+            }
+        }
+    }
 
     /// Preferred frames per `decode_block` call (claim granularity).
     fn block_frames(&self) -> usize;
@@ -128,6 +186,15 @@ impl BlockDecoder for Box<dyn BlockDecoder> {
         (**self).decode_block(llrs, max_iterations)
     }
 
+    fn decode_stream(
+        &mut self,
+        max_iterations: u32,
+        next: &mut dyn FnMut(&mut Vec<f32>) -> bool,
+        done: &mut dyn FnMut(u64, DecodeResult),
+    ) {
+        (**self).decode_stream(max_iterations, next, done)
+    }
+
     fn block_frames(&self) -> usize {
         (**self).block_frames()
     }
@@ -197,6 +264,46 @@ mod tests {
         let want = scalar.decode_block(&llrs, 20);
         assert!(want.iter().all(|r| r.converged));
         assert_eq!(sliced.decode_block(&llrs, 20), want);
+    }
+
+    /// `decode_stream` hands every family's frames to `done` exactly
+    /// once, each with the result `decode_block` gives it — the default
+    /// grouping and the packed decoder's lane refill alike. 11 frames
+    /// leave a partial block for every block size.
+    #[test]
+    fn decode_stream_matches_decode_block_for_every_family() {
+        let code = demo_code();
+        let n = code.n();
+        let frames = 11;
+        let llrs: Vec<f32> = (0..frames * n)
+            .map(|i| match (i / n) % 3 {
+                0 => 3.0,
+                1 if i % 11 == 0 => -1.0,
+                1 => 2.0,
+                _ if i % 3 == 0 => -1.5,
+                _ => 1.0,
+            })
+            .collect();
+        for spec in crate::DecoderSpec::all_families() {
+            let want = spec.build(&code).decode_block(&llrs, 12);
+            let mut decoder = spec.build(&code);
+            let mut source = llrs.chunks_exact(n);
+            let mut got: Vec<Option<DecodeResult>> = vec![None; frames];
+            decoder.decode_stream(
+                12,
+                &mut |buf| source.next().map(|f| buf.extend_from_slice(f)).is_some(),
+                &mut |i, result| {
+                    let slot = &mut got[i as usize];
+                    assert!(slot.is_none(), "{spec}: frame {i} emitted twice");
+                    *slot = Some(result);
+                },
+            );
+            let got: Vec<DecodeResult> = got
+                .into_iter()
+                .map(|r| r.unwrap_or_else(|| panic!("{spec}: a frame was never emitted")))
+                .collect();
+            assert_eq!(got, want, "{spec}");
+        }
     }
 
     #[test]

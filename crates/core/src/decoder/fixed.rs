@@ -207,7 +207,7 @@ impl FixedDecoder {
             channel.iter().all(|&c| (-ch_max..=ch_max).contains(&c)),
             "channel value outside quantizer range"
         );
-        self.channel.copy_from_slice(channel);
+        self.start(channel);
         let msg_max = self.config.msg_max();
         // Initial bit→check messages = channel values, saturated to the
         // message width.
@@ -262,7 +262,7 @@ impl FixedDecoder {
             channel.iter().all(|&c| (-ch_max..=ch_max).contains(&c)),
             "channel value outside quantizer range"
         );
-        self.channel.copy_from_slice(channel);
+        self.start(channel);
         let msg_max = self.config.msg_max();
         for e in 0..graph.n_edges() {
             self.bc[e] = crate::decoder::kernels::saturate(
@@ -313,6 +313,15 @@ impl FixedDecoder {
             },
             trace,
         )
+    }
+
+    /// Loads a frame's channel values. The hard decision starts as the
+    /// channel's, which is the result of a 0-iteration decode.
+    fn start(&mut self, channel: &[i16]) {
+        self.channel.copy_from_slice(channel);
+        for (h, &c) in self.hard.iter_mut().zip(channel) {
+            *h = u8::from(c < 0);
+        }
     }
 
     fn cn_phase(&mut self) {

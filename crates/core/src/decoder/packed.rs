@@ -1,12 +1,13 @@
-//! SWAR-packed fixed-point decoder: 8 frames per `u64` word, one word op
-//! per edge visit — the soft-decision realization of the paper's
+//! SWAR-packed fixed-point decoder: 8 frames per `u64` word, one edge pass
+//! per iteration — the soft-decision realization of the paper's
 //! frames-per-word packing (Table 3), bit-exact lane by lane against
 //! [`FixedDecoder`](crate::decoder::FixedDecoder).
 
-use crate::decoder::batch::{drive_batch, BatchDecoder, BatchPhases, BatchState};
+use crate::decoder::batch::BatchDecoder;
+use crate::decoder::block::BlockDecoder;
 use crate::decoder::swar::{
-    self, abs_i8, add_wrap8, apply_sign8, clamp_i8, eq7_mask, ltu15_mask16, ltu7_mask, min_u16,
-    narrow_bytes, scale_mag8, select8, sign_mask8, splat8, widen_even, widen_odd,
+    self, abs_i8, apply_sign8, eq7_mask, ltu15_mask16, ltu7_mask, min_u16, narrow_halves,
+    scale_mag8, select8, sign_mask8, splat8, widen_hi, widen_lo,
 };
 use crate::decoder::{DecodeResult, FixedConfig};
 use crate::{LdpcCode, LlrQuantizer};
@@ -22,11 +23,8 @@ pub const PACK_LANES: usize = swar::LANES;
 /// Low byte of every u16 lane.
 const M16: u64 = 0x00FF_00FF_00FF_00FF;
 
-/// Low bit of every i8 lane.
-const L8: u64 = 0x0101_0101_0101_0101;
-
-/// Largest bit-node degree the stack-resident per-edge caches cover.
-const MAX_BN_DEGREE: usize = 64;
+/// Largest check-node degree: the lane scan's edge indices fit a lane.
+const MAX_CN_DEGREE: usize = 127;
 
 /// A word with `x` in all four u16 lanes.
 #[inline(always)]
@@ -34,30 +32,78 @@ fn splat16(x: u16) -> u64 {
     u64::from(x) * 0x0001_0001_0001_0001
 }
 
+/// One bit's eight u16 lanes: frames 0..4 in word 0, frames 4..8 in word
+/// 1 (the memory order of eight `i16` vector lanes).
+type Wide = [u64; 2];
+
+/// Splits signed byte lanes into their positive and negative magnitude
+/// planes (`v = pm − nm` lane by lane, one of the two is zero).
+#[inline(always)]
+fn split_signed(v: u64) -> (u64, u64) {
+    let s = sign_mask8(v);
+    let mag = abs_i8(v);
+    (mag & !s, mag & s)
+}
+
+/// `w + v` lane by lane: signed byte lanes added into biased u16 lanes.
+#[inline(always)]
+fn add_wide(w: Wide, v: u64) -> Wide {
+    let (pm, nm) = split_signed(v);
+    [
+        w[0].wrapping_add(widen_lo(pm)).wrapping_sub(widen_lo(nm)),
+        w[1].wrapping_add(widen_hi(pm)).wrapping_sub(widen_hi(nm)),
+    ]
+}
+
+/// Lane `f` of a byte word set to `v`.
+#[inline(always)]
+fn with_byte(w: u64, f: usize, v: i8) -> u64 {
+    (w & !(0xFF << (8 * f))) | u64::from(v as u8) << (8 * f)
+}
+
+/// Lane `f` of a u16 lane pair set to `v`.
+#[inline(always)]
+fn with_u16(mut w: Wide, f: usize, v: u16) -> Wide {
+    let s = 16 * (f % 4);
+    w[f / 4] = (w[f / 4] & !(0xFFFF << s)) | u64::from(v) << s;
+    w
+}
+
 /// Frame-packed fixed-point normalized min-sum decoder.
 ///
-/// Eight frames' messages share each `u64`: edge `e`'s word carries frame
+/// Eight frames share each `u64`: edge `e`'s check→bit word carries frame
 /// `f`'s message in byte lane `f` (the [`gf2::ByteSlices`] transpose), and
-/// every check-node and bit-node update is a handful of SWAR word ops from
-/// [`swar`](crate::decoder::swar) that advance all 8 lanes at once. Each
-/// direction keeps **one** signed-byte word per edge (not separate sign
-/// and magnitude planes), so an iteration streams exactly two words per
-/// edge visit — the check node splits sign from magnitude on the fly
-/// (the sign product is the XOR of the raw words: sign bits XOR in
-/// place) and the bit node re-signs on the way out. The bit-node sum
-/// runs in biased u16 lanes (bias `B = ch_max + max_bn_degree ·
-/// msg_max`), which keeps every partial sum non-negative in any
-/// accumulation order; the sum therefore never wraps a lane and matches
-/// the scalar datapath's widen-accumulate-then-clamp exactly.
+/// every update is a handful of SWAR word ops from
+/// [`swar`](crate::decoder::swar) that advance all 8 lanes at once.
 ///
-/// The result is **bit-exact per lane** against [`FixedDecoder`](crate::decoder::FixedDecoder) with the
-/// same [`FixedConfig`] — same messages, same hard decisions, same
-/// iteration counts — which the conformance and golden suites pin.
+/// The state is **posterior** (APP) form: per edge the check→bit word
+/// `cb`, per bit the quantized channel word `ch` and the biased total
+/// `t = bias + ch + Σ cb` in eight u16 lanes. One iteration is one pass
+/// over the edges in check-major order: the check node's input
+/// `clamp(t[bit] − cb[e])` is exactly the scalar datapath's bit→check
+/// message (the biased lanes hold the exact sum, and the clamp is
+/// [`bn_output`](crate::decoder::kernels::bn_output)'s saturation); the
+/// two-minimum scan then writes `cb` in place and scatter-adds it into
+/// the new total, which the pass starts at `bias + ch`. The bias
+/// (`ch_max + max_bn_degree · msg_max`) keeps every lane in
+/// `0..=2·bias` in any accumulation order, so plain word adds never
+/// borrow across lanes.
 ///
-/// On `x86_64` hosts with SSE4.1 (detected at runtime) the same phases,
-/// and the channel load that quantizes and transposes each call's
-/// input, run on 128-bit vector instructions; the results are identical
-/// bit for bit.
+/// Refilling a lane is O(n): write the new frame's channel into lane `f`
+/// of `ch` and of the total `t`, and read that lane of `cb` as zero on
+/// the next pass, which is then exactly the scalar decoder's first
+/// iteration. [`BlockDecoder::decode_stream`] keeps all 8 lanes busy
+/// that way: a lane that converges or spends its budget emits its frame
+/// and takes the next one, while the other lanes iterate on.
+///
+/// The result is **bit-exact per lane** against
+/// [`FixedDecoder`](crate::decoder::FixedDecoder) with the same
+/// [`FixedConfig`] — same hard decisions, same iteration counts, whichever
+/// lane a frame lands in — which the conformance and golden suites pin.
+///
+/// On `x86_64` hosts with SSE4.1 (detected at runtime) the pass and the
+/// lane load run on 128-bit vector instructions; the results are
+/// identical bit for bit.
 ///
 /// # Example
 ///
@@ -76,25 +122,40 @@ pub struct PackedFixedDecoder {
     code: Arc<LdpcCode>,
     config: FixedConfig,
     quantizer: LlrQuantizer,
-    /// Bit-node bias: u16 accumulator lanes hold `bias + value`.
+    /// Bias of the u16 total lanes: they hold `bias + value`.
     bias: u16,
-    /// Bit→check messages: one signed-byte lane word per edge.
-    bc: Vec<u64>,
     /// Check→bit messages: one signed-byte lane word per edge.
     cb: Vec<u64>,
-    /// Channel LLRs saturated to the message width, one word per bit
-    /// (the initial bit→check message of every adjacent edge).
-    ch_sat: Vec<u64>,
-    /// Biased channel LLRs, u16 lanes, even frames (0, 2, 4, 6).
-    chb_even: Vec<u64>,
-    /// Biased channel LLRs, u16 lanes, odd frames (1, 3, 5, 7).
-    chb_odd: Vec<u64>,
+    /// Lanes of `cb` the next pass reads: `0x00` in lanes loaded since
+    /// the last pass (their messages read as 0), `0xFF` elsewhere.
+    cb_keep: u64,
+    /// Quantized channel LLRs: one signed-byte lane word per bit.
+    ch: Vec<u64>,
+    /// Biased posterior totals the next pass reads.
+    t: Vec<Wide>,
+    /// The pass's accumulator of new totals, preset to `bias + ch` as
+    /// the pass starts.
+    acc: Vec<Wide>,
     /// Hard-decision masks: `0xFF` in lane `f` where frame `f` decides 1.
     hard_mask: Vec<u64>,
     /// Per-lane unsatisfied-check mask: byte `f` is zero iff frame `f`'s
-    /// syndrome is zero after the last iteration.
+    /// syndrome is zero after the last pass.
     unsat: u64,
+    /// Edge passes run since construction.
+    passes: u64,
 }
+
+/// A frame in flight: its index in the stream and its progress.
+#[derive(Clone, Copy)]
+struct Lane {
+    frame: u64,
+    iterations: u32,
+    converged: bool,
+}
+
+/// Loads the next frames of a stream into the given free lanes, in
+/// order; returns how many it loaded (fewer once the stream ends).
+type Fill<'a> = dyn FnMut(&mut PackedFixedDecoder, &[usize]) -> usize + 'a;
 
 impl PackedFixedDecoder {
     /// Creates a packed decoder for the given code and datapath
@@ -104,11 +165,9 @@ impl PackedFixedDecoder {
     ///
     /// Panics if the configured widths do not fit the packed datapath
     /// (`q_msg` or `q_ch` above 8 bits, or a bias that overflows the u16
-    /// bit-node lanes), if any check node has degree outside `2..=127`
+    /// total lanes), or if any check node has degree outside `2..=127`
     /// (the two-minimum lane scan needs at least two absorbs to mirror
-    /// the scalar kernel, and edge indices must fit a lane), or if any
-    /// bit node has degree above 64 (the per-edge contribution caches
-    /// are stack-sized).
+    /// the scalar kernel, and edge indices must fit a lane).
     pub fn new(code: Arc<LdpcCode>, config: FixedConfig) -> Self {
         assert!(
             config.q_msg <= 8,
@@ -125,35 +184,33 @@ impl PackedFixedDecoder {
         for m in 0..graph.n_checks() {
             let deg = graph.cn_degree(m);
             assert!(
-                (2..=127).contains(&deg),
-                "packed datapath requires check degrees in 2..=127, check {m} has {deg}"
+                (2..=MAX_CN_DEGREE).contains(&deg),
+                "packed datapath requires check degrees in 2..={MAX_CN_DEGREE}, check {m} has {deg}"
             );
         }
-        assert!(
-            graph.max_bn_degree() <= MAX_BN_DEGREE,
-            "packed datapath requires bit degrees <= {MAX_BN_DEGREE}, got {}",
-            graph.max_bn_degree()
-        );
         let ch_max = quantizer.max_level() as u32;
         let msg_max = config.msg_max() as u32;
         let bias = ch_max + graph.max_bn_degree() as u32 * msg_max;
         assert!(
             2 * bias <= 0x7FFF,
-            "bit-node bias {bias} overflows the u16 accumulator lanes"
+            "bit-node bias {bias} overflows the u16 total lanes"
         );
         let edges = graph.n_edges();
         let n = code.n();
+        // Lanes never loaded hold channel 0: total = bias.
+        let idle = [splat16(bias as u16); 2];
         Self {
             quantizer,
             config,
             bias: bias as u16,
-            bc: vec![0; edges],
             cb: vec![0; edges],
-            ch_sat: vec![0; n],
-            chb_even: vec![0; n],
-            chb_odd: vec![0; n],
+            cb_keep: !0,
+            ch: vec![0; n],
+            t: vec![idle; n],
+            acc: vec![[0; 2]; n],
             hard_mask: vec![0; n],
             unsat: 0,
+            passes: 0,
             code,
         }
     }
@@ -166,6 +223,13 @@ impl PackedFixedDecoder {
     /// The code this decoder operates on.
     pub fn code(&self) -> &Arc<LdpcCode> {
         &self.code
+    }
+
+    /// Edge passes run since construction. Each advances all 8 lanes by
+    /// one iteration, so `8 × passes` is the lane-iterations issued, to
+    /// set against the sum of the decoded frames' iteration counts.
+    pub fn passes(&self) -> u64 {
+        self.passes
     }
 
     /// Whether the 128-bit SSE4.1 mirror runs: the build targets
@@ -213,99 +277,232 @@ impl PackedFixedDecoder {
         channel: &[i16],
         max_iterations: u32,
     ) -> Vec<DecodeResult> {
-        let frames = self.batch_frames(channel.len(), "channel");
+        self.batch_frames(channel.len(), "channel");
         let ch_max = self.quantizer.max_level();
         assert!(
             channel.iter().all(|&c| (-ch_max..=ch_max).contains(&c)),
             "channel value outside quantizer range"
         );
-        self.load_lanes(frames, 0, |i| channel[i]);
-        self.start_messages();
-        drive_batch(self, frames, max_iterations)
+        let mut frames = channel.chunks_exact(self.code.n());
+        self.decode_in_order(max_iterations, &mut |dec, lanes| {
+            let mut loaded = 0;
+            for (&f, frame) in lanes.iter().zip(&mut frames) {
+                dec.load_lane(f, 0, |b| frame[b]);
+                loaded += 1;
+            }
+            loaded
+        })
     }
 
-    /// Quantizes the `frames` frames of `llrs` straight into the channel
-    /// lane planes — the SSE4.1 load where the CPU has it, the portable
-    /// transpose for the rest — and initializes the messages. The
-    /// quantizer's output is in range by construction, so unlike the
-    /// `i16` door this needs no range scan.
-    fn load_llrs(&mut self, llrs: &[f32], frames: usize) {
-        #[cfg(target_arch = "x86_64")]
-        let done = self.load_llrs_sse(llrs, frames);
-        #[cfg(not(target_arch = "x86_64"))]
-        let done = 0;
-        let quantizer = self.quantizer;
-        self.load_lanes(frames, done, |i| quantizer.quantize(llrs[i]));
-        self.start_messages();
+    /// Streams back-to-back `f32` frames through the lanes and returns
+    /// their results in input order.
+    fn decode_llrs(&mut self, llrs: &[f32], max_iterations: u32) -> Vec<DecodeResult> {
+        let mut frames = llrs.chunks_exact(self.code.n());
+        self.decode_in_order(max_iterations, &mut |dec, lanes| {
+            let batch: Vec<(usize, &[f32])> = lanes.iter().copied().zip(&mut frames).collect();
+            dec.load_llrs(&batch);
+            batch.len()
+        })
     }
 
-    /// Writes the channel lane planes of bits `first..n` from `value(i)`,
-    /// the channel value at flat index `i = f*n + b` of frame `f`, bit
-    /// `b` (the portable transpose). Saturated signed bytes feed message
-    /// initialization, biased u16 lanes the bit-node accumulator. Unused
-    /// lanes stay at channel 0 (bias B in the u16 plane), which keeps
-    /// every lane inside the proven value ranges.
-    fn load_lanes(&mut self, frames: usize, first: usize, value: impl Fn(usize) -> i16) {
-        let n = self.code.n();
-        let bias = u64::from(self.bias);
-        let msg_max = self.config.msg_max() as u8 as i8;
-        for b in first..n {
-            let mut sat = 0u64;
-            let mut even = 0u64;
-            let mut odd = 0u64;
-            for f in 0..PACK_LANES {
-                let c = if f < frames { value(f * n + b) } else { 0 };
-                sat |= u64::from(c as i8 as u8) << (8 * f);
-                let biased = bias.wrapping_add(c as u64) & 0xFFFF;
-                if f % 2 == 0 {
-                    even |= biased << (8 * f);
-                } else {
-                    odd |= biased << (8 * (f - 1));
+    /// [`stream`](Self::stream) with the results collected in frame
+    /// order.
+    fn decode_in_order(&mut self, max_iterations: u32, fill: &mut Fill) -> Vec<DecodeResult> {
+        let mut results: Vec<Option<DecodeResult>> = Vec::new();
+        self.stream(max_iterations, fill, &mut |frame, result| {
+            let i = frame as usize;
+            if results.len() <= i {
+                results.resize(i + 1, None);
+            }
+            results[i] = Some(result);
+        });
+        results
+            .into_iter()
+            .map(|r| r.expect("every pulled frame is emitted"))
+            .collect()
+    }
+
+    /// The streaming driver: keeps every lane busy with frames loaded by
+    /// `fill(self, lanes)` (which loads the next frames into the given
+    /// free lanes, in order, and returns how many it loaded — fewer once
+    /// the stream is exhausted) and hands each frame's result to
+    /// `done(index, result)` the moment its lane retires: on a zero
+    /// syndrome with early stop on, or when its budget is spent. Retired
+    /// lanes take the next frames before the following pass, so a word
+    /// never idles behind its slowest frame.
+    ///
+    /// With `max_iterations == 0` every frame is emitted at load with its
+    /// channel hard decision, 0 iterations, not converged.
+    fn stream(
+        &mut self,
+        max_iterations: u32,
+        fill: &mut Fill,
+        done: &mut dyn FnMut(u64, DecodeResult),
+    ) {
+        let mut lanes: [Option<Lane>; PACK_LANES] = [None; PACK_LANES];
+        let mut pulled = 0u64;
+        let mut exhausted = false;
+        loop {
+            while !exhausted {
+                let mut free = [0; PACK_LANES];
+                let mut count = 0;
+                for f in (0..PACK_LANES).filter(|&f| lanes[f].is_none()) {
+                    free[count] = f;
+                    count += 1;
+                }
+                if count == 0 {
+                    break;
+                }
+                let loaded = fill(self, &free[..count]);
+                exhausted = loaded < count;
+                for &f in &free[..loaded] {
+                    if max_iterations == 0 {
+                        done(pulled, self.channel_decision(f));
+                    } else {
+                        lanes[f] = Some(Lane {
+                            frame: pulled,
+                            iterations: 0,
+                            converged: false,
+                        });
+                    }
+                    pulled += 1;
+                }
+                if max_iterations > 0 {
+                    break;
                 }
             }
-            self.ch_sat[b] = clamp_i8(sat, msg_max);
-            self.chb_even[b] = even;
-            self.chb_odd[b] = odd;
-        }
-    }
-
-    /// Initial bit→check messages: the saturated channel value of the
-    /// edge's bit, in every lane at once.
-    fn start_messages(&mut self) {
-        let code = self.code.clone();
-        let graph = code.graph();
-        for m in 0..graph.n_checks() {
-            let edges = &mut self.bc[graph.cn_edge_range(m)];
-            for (bc, &b) in edges.iter_mut().zip(graph.cn_bits(m)) {
-                *bc = self.ch_sat[b as usize];
+            if lanes.iter().all(Option::is_none) {
+                return;
+            }
+            let active = (0..PACK_LANES)
+                .filter(|&f| lanes[f].is_some())
+                .fold(0u64, |m, f| m | 0xFF << (8 * f));
+            self.iterate(active);
+            for (f, slot) in lanes.iter_mut().enumerate() {
+                let Some(lane) = slot else { continue };
+                lane.iterations += 1;
+                lane.converged = (self.unsat >> (8 * f)) & 0xFF == 0;
+                if (lane.converged && self.config.early_stop) || lane.iterations == max_iterations {
+                    done(
+                        lane.frame,
+                        DecodeResult {
+                            hard_decision: self.hard_decision(f),
+                            iterations: lane.iterations,
+                            converged: lane.converged,
+                        },
+                    );
+                    *slot = None;
+                }
             }
         }
     }
 
-    /// Check-node phase, all 8 lanes per word op: sign product by XOR of
-    /// the raw message words (sign bits XOR in place; the low bits are
-    /// masked off at output), two-minimum magnitude scan via lane
-    /// compares — the word form of
-    /// [`cn_scan`](crate::decoder::kernels::cn_scan) +
-    /// [`CnState::output`](crate::decoder::kernels::CnState::output).
+    /// Loads each `(lane, frame)` pair: quantizes the frames straight
+    /// into their lanes of the channel and total planes (one vector pass
+    /// over the planes for all of them on the SSE4.1 path, the portable
+    /// loop for the rest). The quantizer's output is in range by
+    /// construction, so unlike the `i16` door this needs no range scan.
+    fn load_llrs(&mut self, frames: &[(usize, &[f32])]) {
+        let n = self.code.n();
+        assert!(
+            frames
+                .iter()
+                .all(|&(f, llrs)| f < PACK_LANES && llrs.len() == n),
+            "lane or frame length out of range"
+        );
+        #[cfg(target_arch = "x86_64")]
+        let first = self.load_llrs_sse(frames);
+        #[cfg(not(target_arch = "x86_64"))]
+        let first = 0;
+        let quantizer = self.quantizer;
+        for &(f, llrs) in frames {
+            self.load_lane(f, first, |b| quantizer.quantize(llrs[b]));
+        }
+    }
+
+    /// Resets lane `f` to a new frame: writes channel value `value(b)`
+    /// of bits `first..n` into lane `f` of `ch` and `t` (bits below
+    /// `first` were written by a vector load), and masks the lane
+    /// out of the next pass's `cb` reads. The next pass is then the new
+    /// frame's first iteration.
+    fn load_lane(&mut self, f: usize, first: usize, value: impl Fn(usize) -> i16) {
+        let n = self.code.n();
+        for b in first..n {
+            let c = value(b);
+            let biased = self.bias.wrapping_add(c as u16);
+            self.ch[b] = with_byte(self.ch[b], f, c as i8);
+            self.t[b] = with_u16(self.t[b], f, biased);
+        }
+        self.cb_keep &= !(0xFF << (8 * f));
+    }
+
+    /// The channel hard decision of lane `f`, as a 0-iteration result.
+    fn channel_decision(&mut self, f: usize) -> DecodeResult {
+        for (mask, &c) in self.hard_mask.iter_mut().zip(&self.ch) {
+            *mask = with_byte(*mask, f, ((c >> (8 * f)) as i8) >> 7);
+        }
+        DecodeResult {
+            hard_decision: self.hard_decision(f),
+            iterations: 0,
+            converged: false,
+        }
+    }
+
+    /// One iteration of all 8 lanes: the edge pass (SSE4.1 where the CPU
+    /// has it) and the syndrome of the `active` lanes (a byte mask).
+    fn iterate(&mut self, active: u64) {
+        self.passes += 1;
+        #[cfg(target_arch = "x86_64")]
+        let done = self.simd_pass();
+        #[cfg(not(target_arch = "x86_64"))]
+        let done = false;
+        if !done {
+            self.pass();
+        }
+        self.syndrome_pass(active);
+    }
+
+    /// The edge pass, all 8 lanes per word op: the accumulator preset to
+    /// `bias + ch`, the edges, then [`finish_pass`](Self::finish_pass).
     ///
-    /// The scan seeds `min1 = min2 = 127`, which coincides with the
+    /// Per check: each edge's input is `clamp(t[bit] − cb[e])`, computed
+    /// in the biased u16 lanes and saturated to `msg_max` exactly like
+    /// [`bn_output`](crate::decoder::kernels::bn_output); the two-minimum
+    /// scan is the word form of
+    /// [`cn_scan`](crate::decoder::kernels::cn_scan) +
+    /// [`CnState::output`](crate::decoder::kernels::CnState::output),
+    /// with the sign product as the XOR of the raw input words (sign bits
+    /// XOR in place). Its seed `min1 = min2 = 127` coincides with the
     /// scalar kernel's `i16::MAX` seed for degrees >= 2 because lane
     /// magnitudes never exceed 127: the first two absorbs pull both
     /// minima down to real message values either way, through the same
-    /// strict-`<` first-wins tie rule.
-    fn cn_phase(&mut self) {
+    /// strict-`<` first-wins tie rule. Each output is stored in place and
+    /// added into the bit's next total.
+    fn pass(&mut self) {
         let code = self.code.clone();
         let graph = code.graph();
         let scaling = self.config.scaling;
+        let keep = self.cb_keep;
+        let b16 = splat16(self.bias);
+        let m16 = splat16(self.config.msg_max() as u16);
+        let mut inputs = [0u64; MAX_CN_DEGREE];
+        for (acc, &c) in self.acc.iter_mut().zip(&self.ch) {
+            *acc = add_wide([b16; 2], c);
+        }
         for m in 0..graph.n_checks() {
             let range = graph.cn_edge_range(m);
+            let bits = graph.cn_bits(m);
             let mut sp = 0u64;
             let mut min1 = splat8(0x7F);
             let mut min2 = splat8(0x7F);
             let mut argmin = 0u64;
-            for (idx, e) in range.clone().enumerate() {
-                let v = self.bc[e];
+            for (idx, (e, &b)) in range.clone().zip(bits).enumerate() {
+                let (pm, nm) = split_signed(self.cb[e] & keep);
+                let [lo, hi] = self.t[b as usize];
+                let ulo = lo.wrapping_sub(widen_lo(pm)).wrapping_add(widen_lo(nm));
+                let uhi = hi.wrapping_sub(widen_hi(pm)).wrapping_add(widen_hi(nm));
+                let v = clamp_extrinsic(ulo, uhi, b16, m16);
+                inputs[idx] = v;
                 sp ^= v;
                 let mag = abs_i8(v);
                 let lt1 = ltu7_mask(mag, min1);
@@ -318,83 +515,41 @@ impl PackedFixedDecoder {
             // two minima once per check instead of once per edge.
             let s1 = scale_mag8(min1, scaling);
             let s2 = scale_mag8(min2, scaling);
-            for (idx, e) in range.enumerate() {
+            for (idx, (e, &b)) in range.zip(bits).enumerate() {
                 let eq = eq7_mask(argmin, splat8(idx as i8));
                 let smag = select8(eq, s2, s1);
                 // Output sign = sign product excluding self = sign bits
                 // of the XOR accumulator XOR this edge's own sign.
-                let sign = sign_mask8(sp ^ self.bc[e]);
-                self.cb[e] = apply_sign8(smag, sign);
+                let out = apply_sign8(smag, sign_mask8(sp ^ inputs[idx]));
+                self.cb[e] = out;
+                self.acc[b as usize] = add_wide(self.acc[b as usize], out);
             }
         }
+        self.finish_pass();
     }
 
-    /// Bit-node phase, all 8 lanes per word op, in biased u16 lanes.
-    ///
-    /// Lane values stay in `[0, 2·bias]` through every partial sum (each
-    /// check→bit magnitude is at most `msg_max` and at most
-    /// `max_bn_degree` of them are subtracted), so the plain `u64`
-    /// add/sub never borrows across lanes and the accumulator is exact —
-    /// the packed equivalent of the scalar datapath's i32 widening. The
-    /// per-edge output `bias + ch + total − own` then saturates to
-    /// `msg_max` exactly like
-    /// [`bn_output`](crate::decoder::kernels::bn_output), and the hard
-    /// decision `t < bias` is [`bn_posterior`](crate::decoder::kernels::bn_posterior)` < 0`.
-    fn bn_phase(&mut self) {
-        let code = self.code.clone();
-        let graph = code.graph();
+    /// Closes a pass: hard decisions from the new totals in `acc`
+    /// (posterior < 0 iff the biased total < bias), and the two total
+    /// planes swapped.
+    fn finish_pass(&mut self) {
         let b16 = splat16(self.bias);
-        let m16 = splat16(self.config.msg_max() as u16);
-        let mut pms = [0u64; MAX_BN_DEGREE];
-        let mut nms = [0u64; MAX_BN_DEGREE];
-        for n in 0..graph.n_bits() {
-            let edges = graph.bn_edge_ids(n);
-            let mut te = self.chb_even[n];
-            let mut to = self.chb_odd[n];
-            for (i, &e) in edges.iter().enumerate() {
-                let v = self.cb[e as usize];
-                // Split the signed lanes into positive / negative
-                // magnitude planes: conditional two's-complement via the
-                // shared sign mask, then mask each half.
-                let s = sign_mask8(v);
-                let mag = add_wrap8(v ^ s, s & L8);
-                let pm = mag & !s;
-                let nm = mag & s;
-                pms[i] = pm;
-                nms[i] = nm;
-                te = te.wrapping_add(widen_even(pm)).wrapping_sub(widen_even(nm));
-                to = to.wrapping_add(widen_odd(pm)).wrapping_sub(widen_odd(nm));
-            }
-            for (i, &e) in edges.iter().enumerate() {
-                let (pm, nm) = (pms[i], nms[i]);
-                let ue = te.wrapping_sub(widen_even(pm)).wrapping_add(widen_even(nm));
-                let uo = to.wrapping_sub(widen_odd(pm)).wrapping_add(widen_odd(nm));
-                // Sign: the extrinsic sum is negative iff u < bias.
-                let lte = ltu15_mask16(ue, b16);
-                let lto = ltu15_mask16(uo, b16);
-                // Magnitude: |u - bias| via max/min (xor recovers the
-                // other of the pair), saturated to the message width.
-                let mxe = select8(lte, b16, ue);
-                let mage = min_u16(mxe.wrapping_sub(ue ^ b16 ^ mxe), m16);
-                let mxo = select8(lto, b16, uo);
-                let mago = min_u16(mxo.wrapping_sub(uo ^ b16 ^ mxo), m16);
-                let sign = narrow_bytes(lte & M16, lto & M16);
-                let mag = narrow_bytes(mage, mago);
-                self.bc[e as usize] = apply_sign8(mag, sign);
-            }
-            // Hard decision: posterior < 0 iff the biased total < bias.
-            let he = ltu15_mask16(te, b16);
-            let ho = ltu15_mask16(to, b16);
-            self.hard_mask[n] = narrow_bytes(he & M16, ho & M16);
+        for (mask, &[lo, hi]) in self.hard_mask.iter_mut().zip(&self.acc) {
+            *mask = narrow_halves(ltu15_mask16(lo, b16) & M16, ltu15_mask16(hi, b16) & M16);
         }
+        std::mem::swap(&mut self.t, &mut self.acc);
+        self.cb_keep = !0;
     }
 
     /// Word-parallel syndrome: XOR the hard masks of each check's bits —
     /// lane `f` of `unsat` becomes non-zero iff frame `f` leaves some
-    /// check unsatisfied.
-    fn syndrome_pass(&mut self) {
+    /// check unsatisfied. Only the lanes in the byte mask `active` are
+    /// decided: the scan stops once each of them has an unsatisfied
+    /// check, which an unconverged frame shows within a few checks.
+    fn syndrome_pass(&mut self, active: u64) {
+        const LOW7: u64 = 0x7F7F_7F7F_7F7F_7F7F;
         let code = self.code.clone();
         let graph = code.graph();
+        let hot = active & !LOW7;
         let mut unsat = 0u64;
         for m in 0..graph.n_checks() {
             let mut parity = 0u64;
@@ -402,32 +557,19 @@ impl PackedFixedDecoder {
                 parity ^= self.hard_mask[bn as usize];
             }
             unsat |= parity;
+            // Bit 7 of each byte set iff that byte of `unsat` is non-zero.
+            if (((unsat & LOW7) + LOW7) | unsat) & hot == hot {
+                break;
+            }
         }
         self.unsat = unsat;
     }
-}
 
-impl BatchPhases for PackedFixedDecoder {
-    fn run_phases(&mut self, _iter: u32, _frames: usize, _state: &BatchState) {
-        // All 8 lanes always advance — a retired lane's results were
-        // snapshotted by the driver, so its lanes idling along is free
-        // (that is the whole point of the packing: no masking, ever).
-        #[cfg(target_arch = "x86_64")]
-        if self.simd_phases() {
-            self.syndrome_pass();
-            return;
-        }
-        self.cn_phase();
-        self.bn_phase();
-        self.syndrome_pass();
-    }
-
+    /// Hard decision of lane `f`: its lane of the hard-decision masks,
+    /// packed straight into bit-vector words. Lane `f` of a mask is 0x00
+    /// or 0xFF, so bit `i` of that byte already is bit `i`'s decision:
+    /// eight masks fold into one byte with an AND and an OR each.
     fn hard_decision(&self, f: usize) -> BitVec {
-        // Pack frame f's lane of the hard-decision masks straight into
-        // bit-vector words, on demand — once per frame per decode
-        // instead of every iteration. Lane f of a mask is 0x00 or 0xFF,
-        // so bit `i` of that byte already is bit `i`'s decision: eight
-        // masks fold into one byte with an AND and an OR each.
         let shift = 8 * f;
         let words = self
             .hard_mask
@@ -444,21 +586,80 @@ impl BatchPhases for PackedFixedDecoder {
             .collect();
         BitVec::from_words(self.code.n(), words)
     }
+}
 
-    fn syndrome_ok_frame(&self, f: usize) -> bool {
-        (self.unsat >> (8 * f)) & 0xFF == 0
+/// The extrinsic message of biased u16 sums `u` (frames 0..4 in `lo`,
+/// 4..8 in `hi`): `u − bias` saturated to `±msg_max`, as signed bytes.
+///
+/// Sign: negative iff `u < bias`. Magnitude: `|u − bias|` via max/min
+/// (xor recovers the other of the pair), then the rail.
+#[inline(always)]
+fn clamp_extrinsic(lo: u64, hi: u64, b16: u64, m16: u64) -> u64 {
+    let (llo, lhi) = (ltu15_mask16(lo, b16), ltu15_mask16(hi, b16));
+    let mxlo = select8(llo, b16, lo);
+    let maglo = min_u16(mxlo.wrapping_sub(lo ^ b16 ^ mxlo), m16);
+    let mxhi = select8(lhi, b16, hi);
+    let maghi = min_u16(mxhi.wrapping_sub(hi ^ b16 ^ mxhi), m16);
+    let sign = narrow_halves(llo & M16, lhi & M16);
+    apply_sign8(narrow_halves(maglo, maghi), sign)
+}
+
+impl BlockDecoder for PackedFixedDecoder {
+    fn decode_block(&mut self, llrs: &[f32], max_iterations: u32) -> Vec<DecodeResult> {
+        let n = self.code.n();
+        assert!(
+            !llrs.is_empty() && llrs.len().is_multiple_of(n),
+            "LLR length must be a positive multiple of the code length"
+        );
+        self.decode_llrs(llrs, max_iterations)
     }
 
-    fn early_stop(&self) -> bool {
-        self.config.early_stop
+    fn decode_stream(
+        &mut self,
+        max_iterations: u32,
+        next: &mut dyn FnMut(&mut Vec<f32>) -> bool,
+        done: &mut dyn FnMut(u64, DecodeResult),
+    ) {
+        let n = self.code.n();
+        let mut staged = Vec::with_capacity(PACK_LANES * n);
+        let mut fill = |dec: &mut Self, lanes: &[usize]| {
+            staged.clear();
+            for _ in lanes {
+                let before = staged.len();
+                if !next(&mut staged) {
+                    break;
+                }
+                assert_eq!(
+                    staged.len(),
+                    before + n,
+                    "a streamed frame must hold n LLRs"
+                );
+            }
+            let batch: Vec<(usize, &[f32])> =
+                lanes.iter().copied().zip(staged.chunks_exact(n)).collect();
+            dec.load_llrs(&batch);
+            batch.len()
+        };
+        self.stream(max_iterations, &mut fill, done);
+    }
+
+    fn block_frames(&self) -> usize {
+        PACK_LANES
+    }
+
+    fn n(&self) -> usize {
+        self.code.n()
+    }
+
+    fn name(&self) -> String {
+        BatchDecoder::name(self)
     }
 }
 
 impl BatchDecoder for PackedFixedDecoder {
     fn decode_batch(&mut self, llrs: &[f32], max_iterations: u32) -> Vec<DecodeResult> {
-        let frames = self.batch_frames(llrs.len(), "LLR");
-        self.load_llrs(llrs, frames);
-        drive_batch(self, frames, max_iterations)
+        self.batch_frames(llrs.len(), "LLR");
+        self.decode_llrs(llrs, max_iterations)
     }
 
     fn capacity(&self) -> usize {
@@ -689,10 +890,164 @@ mod tests {
         }
     }
 
+    /// Frames of every convergence class for the `f32` doors: clean,
+    /// noisy (12% flipped), and garbage, scaled to the quantizer's top
+    /// level `top` so every configuration sees its own rails.
+    fn stream_llrs(n: usize, frames: usize, seed: u64, top: f32) -> Vec<f32> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut out = Vec::with_capacity(frames * n);
+        for f in 0..frames {
+            match f % 3 {
+                0 => out.extend(std::iter::repeat_n(top, n)),
+                1 => out.extend((0..n).map(|_| {
+                    let v = top * rng.gen_range(0.1f32..0.6);
+                    if rng.gen_bool(0.12) {
+                        -v
+                    } else {
+                        v
+                    }
+                })),
+                _ => out.extend((0..n).map(|_| top * rng.gen_range(-1.0f32..1.0))),
+            }
+        }
+        out
+    }
+
+    /// Streams `llrs` through `decode_stream` and checks every frame
+    /// against a reused scalar decoder, and that `done` fires exactly
+    /// once per pulled frame.
+    fn assert_stream_matches_scalar(
+        code: &Arc<LdpcCode>,
+        cfg: FixedConfig,
+        llrs: &[f32],
+        iters: u32,
+        label: &str,
+    ) {
+        use crate::decoder::Decoder;
+        let n = code.n();
+        let frames = llrs.len() / n;
+        let mut packed = PackedFixedDecoder::new(code.clone(), cfg);
+        let mut scalar = FixedDecoder::new(code.clone(), cfg);
+        let mut source = llrs.chunks_exact(n);
+        let mut pulled = 0usize;
+        let mut got: Vec<Option<DecodeResult>> = vec![None; frames];
+        packed.decode_stream(
+            iters,
+            &mut |buf| match source.next() {
+                Some(frame) => {
+                    buf.extend_from_slice(frame);
+                    pulled += 1;
+                    true
+                }
+                None => false,
+            },
+            &mut |i, result| {
+                let slot = &mut got[i as usize];
+                assert!(slot.is_none(), "{label}: frame {i} emitted twice");
+                *slot = Some(result);
+            },
+        );
+        assert_eq!(pulled, frames, "{label}");
+        for (f, out) in got.into_iter().enumerate() {
+            let want = scalar.decode(&llrs[f * n..(f + 1) * n], iters);
+            assert_eq!(out.as_ref(), Some(&want), "{label}: frame {f}");
+        }
+    }
+
+    /// The streaming driver against scalar `fixed`, frame by frame, over
+    /// stream lengths around the word width (lanes refill as they
+    /// retire), budgets 0 / 1 / 18 and both early-stop modes.
+    #[test]
+    fn stream_matches_scalar_per_frame() {
+        let code = demo_code();
+        let n = code.n();
+        for frames in [1usize, 7, 8, 9, 40] {
+            let llrs = stream_llrs(n, frames, 70 + frames as u64, 7.5);
+            for iters in [0, 1, 18] {
+                for early_stop in [true, false] {
+                    let cfg = FixedConfig::default().with_early_stop(early_stop);
+                    let label = format!("{frames} frames, {iters} its, early stop {early_stop}");
+                    assert_stream_matches_scalar(&code, cfg, &llrs, iters, &label);
+                }
+            }
+        }
+    }
+
+    /// Every scaling and quantization through the streaming driver.
+    #[test]
+    fn stream_matches_scalar_in_every_configuration() {
+        let code = demo_code();
+        let n = code.n();
+        for scaling in [
+            Scaling::Unity,
+            Scaling::SevenEighths,
+            Scaling::ThreeQuarters,
+            Scaling::Half,
+        ] {
+            for (q_msg, q_ch) in [(6, 5), (4, 3), (8, 8)] {
+                let cfg = FixedConfig::default()
+                    .with_scaling(scaling)
+                    .with_q_msg(q_msg)
+                    .with_q_ch(q_ch);
+                let q = cfg.channel_quantizer();
+                let top = f32::from(q.max_level()) * q.step();
+                let llrs = stream_llrs(n, 19, u64::from(q_msg * 16 + q_ch), top);
+                let label = format!("{scaling:?} q_msg={q_msg} q_ch={q_ch}");
+                assert_stream_matches_scalar(&code, cfg, &llrs, 18, &label);
+            }
+        }
+    }
+
+    /// The streaming driver on C2 (degree-32 checks, even pairs only).
+    #[test]
+    fn stream_matches_scalar_on_c2() {
+        let code = crate::codes::ccsds_c2::code();
+        let llrs = stream_llrs(code.n(), 9, 80, 7.5);
+        for iters in [0, 1, 18] {
+            let label = format!("c2, {iters} its");
+            assert_stream_matches_scalar(&code, FixedConfig::default(), &llrs, iters, &label);
+        }
+    }
+
+    /// Zero iterations return the channel hard decision, whatever the
+    /// decoder decoded before: the scalar reference and the packed lanes
+    /// (fresh and refilled) agree.
+    #[test]
+    fn zero_iterations_return_the_channel_decision() {
+        use crate::decoder::Decoder;
+        for code in [demo_code(), crate::codes::ccsds_c2::code()] {
+            let n = code.n();
+            let a = stream_llrs(n, 3, 90, 7.5);
+            let clean = vec![4.0f32; n];
+            let mut scalar = FixedDecoder::new(code.clone(), FixedConfig::default());
+            let mut packed = PackedFixedDecoder::new(code.clone(), FixedConfig::default());
+            let _ = scalar.decode(&a[2 * n..], 18);
+            let _ = packed.decode_block(&a, 18);
+            let want = DecodeResult {
+                hard_decision: BitVec::zeros(n),
+                iterations: 0,
+                converged: false,
+            };
+            assert_eq!(scalar.decode(&clean, 0), want, "n={n} scalar");
+            assert_eq!(packed.decode_block(&clean, 0), vec![want], "n={n} packed");
+            // A stream at 0 iterations refills one lane over and over.
+            let b = stream_llrs(n, 10, 91, 7.5);
+            let got = packed.decode_block(&b, 0);
+            for (f, out) in got.iter().enumerate() {
+                assert_eq!(
+                    out,
+                    &scalar.decode(&b[f * n..(f + 1) * n], 0),
+                    "n={n} frame {f}"
+                );
+                assert_eq!(out.iterations, 0);
+            }
+        }
+    }
+
     /// The SSE4.1 mirror against the portable SWAR path from identical
-    /// state: the `f32` channel load (every partial word) and then
-    /// the check / bit phases, comparing every message, channel plane
-    /// and hard-decision word after every iteration.
+    /// state: the `f32` lane load (every lane, on top of stale state) and
+    /// then the edge pass, comparing every state plane after every load
+    /// and every pass — including passes right after lanes refill.
     #[cfg(target_arch = "x86_64")]
     #[test]
     fn sse_mirror_matches_portable_swar_words() {
@@ -701,12 +1056,14 @@ mod tests {
             return;
         }
         let planes = |d: &PackedFixedDecoder| {
-            [
-                d.ch_sat.clone(),
-                d.chb_even.clone(),
-                d.chb_odd.clone(),
-                d.bc.clone(),
-            ]
+            (
+                d.ch.clone(),
+                d.t.clone(),
+                d.acc.clone(),
+                d.cb.clone(),
+                d.cb_keep,
+                d.hard_mask.clone(),
+            )
         };
         for code in [demo_code(), crate::codes::ccsds_c2::code()] {
             let n = code.n();
@@ -726,40 +1083,59 @@ mod tests {
                     let top = f32::from(q.max_level()) * q.step();
                     let mut rng = StdRng::seed_from_u64(u64::from(q_msg * 16 + q_ch));
                     // Lane-biased noise reaching past saturation, plus
-                    // the special values.
+                    // the special values; frames 8.. refill lanes.
                     let specials = special_llrs();
-                    let llrs: Vec<f32> = (0..PACK_LANES * n)
+                    let llrs: Vec<f32> = (0..12 * n)
                         .map(|i| {
                             if rng.gen_bool(0.05) {
                                 specials[rng.gen_range(0..specials.len())]
                             } else {
-                                let lean = 0.1 * (i / n) as f32;
+                                let lean = 0.1 * (i / n % PACK_LANES) as f32;
                                 top * rng.gen_range(lean - 0.6..lean + 0.8)
                             }
                         })
                         .collect();
+                    let frame = |i: usize| &llrs[i * n..(i + 1) * n];
                     let mut swar = PackedFixedDecoder::new(code.clone(), cfg);
                     let mut sse = PackedFixedDecoder::new(code.clone(), cfg);
-                    for frames in 1..=PACK_LANES {
-                        let batch = &llrs[..frames * n];
-                        swar.load_lanes(frames, 0, |i| q.quantize(batch[i]));
-                        swar.start_messages();
-                        let done = sse.load_llrs_sse(batch, frames);
-                        assert_eq!(done, n - n % 16, "{label}");
-                        sse.load_lanes(frames, done, |i| q.quantize(batch[i]));
-                        sse.start_messages();
-                        assert_eq!(planes(&sse), planes(&swar), "{label}: load, {frames} lanes");
+                    // Loads frames `(lane, frame index)`: one vector call
+                    // plus the portable tail, or the portable loop alone.
+                    let load =
+                        |dec: &mut PackedFixedDecoder, batch: &[(usize, usize)], vector: bool| {
+                            let frames: Vec<(usize, &[f32])> =
+                                batch.iter().map(|&(f, i)| (f, frame(i))).collect();
+                            let first = if vector {
+                                let done = dec.load_llrs_sse(&frames);
+                                assert_eq!(done, n - n % 16, "{label}");
+                                done
+                            } else {
+                                0
+                            };
+                            for &(f, llrs) in &frames {
+                                dec.load_lane(f, first, |b| q.quantize(llrs[b]));
+                            }
+                        };
+                    // Lane by lane over the fresh state, then all 8 at once
+                    // over stale lanes.
+                    for f in 0..PACK_LANES {
+                        load(&mut swar, &[(f, f)], false);
+                        load(&mut sse, &[(f, f)], true);
+                        assert_eq!(planes(&sse), planes(&swar), "{label}: load lane {f}");
                     }
-                    for it in 0..6 {
-                        swar.cn_phase();
-                        swar.bn_phase();
-                        assert!(sse.simd_phases());
-                        assert_eq!(sse.cb, swar.cb, "{label}: cb after iteration {it}");
-                        assert_eq!(sse.bc, swar.bc, "{label}: bc after iteration {it}");
-                        assert_eq!(
-                            sse.hard_mask, swar.hard_mask,
-                            "{label}: hard_mask after iteration {it}"
-                        );
+                    let word: Vec<(usize, usize)> = (0..PACK_LANES).map(|f| (f, 7 - f)).collect();
+                    load(&mut swar, &word, false);
+                    load(&mut sse, &word, true);
+                    assert_eq!(planes(&sse), planes(&swar), "{label}: load word");
+                    // Refills after passes 2 and 4: one lane, then three.
+                    let refills: [&[(usize, usize)]; 6] =
+                        [&[], &[], &[(3, 8)], &[], &[(0, 9), (5, 10), (7, 11)], &[]];
+                    for (it, &batch) in refills.iter().enumerate() {
+                        load(&mut swar, batch, false);
+                        load(&mut sse, batch, true);
+                        assert_eq!(planes(&sse), planes(&swar), "{label}: before pass {it}");
+                        swar.pass();
+                        assert!(sse.simd_pass());
+                        assert_eq!(planes(&sse), planes(&swar), "{label}: after pass {it}");
                     }
                 }
             }
@@ -770,6 +1146,7 @@ mod tests {
     #[ignore = "manual profiling aid: run with --release --nocapture"]
     fn profile_phase_split() {
         let code = crate::codes::ccsds_c2::code();
+        let n = code.n();
         let mut dec = PackedFixedDecoder::new(code.clone(), FixedConfig::default());
         let ch = mixed_batch(&code, 8, 99);
         // The same batch through the f32 door the engine and server call.
@@ -785,34 +1162,27 @@ mod tests {
             println!("  {label}: {per:?}/iter");
             per
         };
-        time("full decode ", &mut || {
+        time("full decode  ", &mut || {
             let _ = dec.decode_quantized_batch(&ch, 18);
         });
-        time("decode 1 it ", &mut || {
-            let _ = dec.decode_quantized_batch(&ch, 1);
-        });
-        let door = time("f32 door 1 it", &mut || {
+        time("f32 door 1 it", &mut || {
             let _ = dec.decode_batch(&llrs, 1);
         });
-        let syndrome = time("syndrome    ", &mut || dec.syndrome_pass());
         #[cfg(target_arch = "x86_64")]
         if PackedFixedDecoder::simd_active() {
-            let phases = time("simd phases ", &mut || {
-                let _ = dec.simd_phases();
+            time("pass (sse)   ", &mut || {
+                let _ = dec.simd_pass();
             });
-            let floor = phases + syndrome;
-            println!(
-                "  setup ratio: f32 door 1 it / (simd phases + syndrome) = {:?} / {:?} = {:.2}x",
-                door,
-                floor,
-                door.as_secs_f64() / floor.as_secs_f64()
-            );
         }
-        time("cn (swar)   ", &mut || dec.cn_phase());
-        time("bn (swar)   ", &mut || dec.bn_phase());
-        time("f32 load    ", &mut || dec.load_llrs(&llrs, 8));
-        time("hard bits   ", &mut || {
-            for f in 0..8 {
+        time("pass (swar)  ", &mut || dec.pass());
+        time("syndrome     ", &mut || dec.syndrome_pass(!0));
+        time("refill 1 lane", &mut || {
+            dec.load_llrs(&[(3, &llrs[3 * n..4 * n])])
+        });
+        let word: Vec<(usize, &[f32])> = llrs.chunks_exact(n).enumerate().collect();
+        time("refill 8     ", &mut || dec.load_llrs(&word));
+        time("hard bits x8 ", &mut || {
+            for f in 0..PACK_LANES {
                 std::hint::black_box(dec.hard_decision(f));
             }
         });

@@ -1,16 +1,16 @@
-//! SSE4.1 mirror of the packed SWAR phases and of the per-call channel
+//! SSE4.1 mirror of the packed edge pass and of the per-lane channel
 //! load, compiled on every `x86_64` build.
 //!
-//! Same buffers, same algorithm, same results bit for bit — but the
-//! check-node two-minimum scan runs on native byte-lane vector ops
-//! (`pabsb`/`pminub`/`pmaxub`/`pblendvb`) and the bit-node accumulator
-//! holds all 8 frames' biased sums in one register of eight i16 lanes
-//! (`pmovsxbw` widening, `packsswb` narrowing), replacing the multi-op
-//! SWAR emulations with single instructions. The channel load quantizes
-//! 16 bits of every frame per step and transposes the 8 × 16 byte tile
-//! into lane words with three rounds of unpacks. Selected at runtime via
-//! `is_x86_feature_detected!`; a host without SSE4.1 falls back to the
-//! portable kernels.
+//! Same buffers, same algorithm, same results bit for bit — but each
+//! bit's posterior total is one register of eight i16 lanes
+//! (`pmovsxbw` widens a message word into it, `packsswb` narrows the
+//! extrinsic input back to bytes), and the check-node two-minimum scan
+//! runs on native byte-lane ops (`pabsb`/`pminub`/`pmaxub`/`pblendvb`),
+//! replacing the multi-op SWAR emulations with single instructions.
+//! The lane load quantizes 16 bits of every loaded frame per step and
+//! transposes the 8 × 16 byte tile into lane words in registers.
+//! Selected at runtime via `is_x86_feature_detected!`; a host without
+//! SSE4.1 falls back to the portable kernels.
 //!
 //! This is the one module in the crate allowed to contain `unsafe`: the
 //! entry points below are guarded by the runtime feature check, and
@@ -19,12 +19,12 @@
 
 #![allow(unsafe_code)]
 
-use super::{PackedFixedDecoder, MAX_BN_DEGREE};
+use super::{PackedFixedDecoder, MAX_CN_DEGREE, PACK_LANES};
 use crate::decoder::kernels::Scaling;
 use crate::LlrQuantizer;
 use std::arch::x86_64::*;
 
-/// Bits per channel-load step: one 16-byte row per frame.
+/// Bits per channel-load step.
 const LOAD_BITS: usize = 16;
 
 /// Whether the running CPU supports the mirror's instruction set.
@@ -33,164 +33,154 @@ pub(super) fn available() -> bool {
 }
 
 impl PackedFixedDecoder {
-    /// Runs one check-node + bit-node iteration on the SSE4.1 path.
-    /// Returns `false` (having done nothing) when the CPU lacks the
-    /// required features, so the caller falls back to portable SWAR.
-    pub(super) fn simd_phases(&mut self) -> bool {
+    /// Runs one edge pass (and closes it) on the SSE4.1 path. Returns
+    /// `false` (having done nothing) when the CPU lacks the required
+    /// features, so the caller falls back to portable SWAR.
+    pub(super) fn simd_pass(&mut self) -> bool {
         if !available() {
             return false;
         }
         // SAFETY: `available()` just confirmed ssse3 + sse4.1 on the
-        // running CPU, which is exactly what the callee requires.
-        unsafe { self.phases_sse() };
+        // running CPU, which is exactly what the callees require.
+        unsafe {
+            self.pass_sse();
+            self.finish_pass_sse();
+        }
         true
     }
 
-    /// Quantizes the first `frames` frames of `llrs` straight into the
-    /// channel lane planes, 16 bits at a time. Returns how many leading
-    /// bits it wrote — `0` without SSE4.1 — so the caller finishes the
-    /// rest on the portable path.
-    pub(super) fn load_llrs_sse(&mut self, llrs: &[f32], frames: usize) -> usize {
+    /// Quantizes each `(lane, frame)` pair straight into its lane of the
+    /// channel and total planes, 16 bits per step for all the frames at
+    /// once. Returns how many leading bits it wrote — `0` without SSE4.1
+    /// — so the caller finishes the rest on the portable path.
+    pub(super) fn load_llrs_sse(&mut self, frames: &[(usize, &[f32])]) -> usize {
         if !available() {
             return 0;
         }
         // SAFETY: feature presence checked on the line above.
-        unsafe { self.load_llrs_impl(llrs, frames) }
+        unsafe { self.load_llrs_impl(frames) }
     }
 
+    /// One pass over the planes per call: quantizes a 16-bit row of
+    /// every loaded frame, transposes the 8 × 16 byte tile into lane
+    /// words with three rounds of unpacks, and blends the loaded lanes
+    /// into the channel word and the total of each bit.
     #[target_feature(enable = "ssse3,sse4.1")]
-    fn load_llrs_impl(&mut self, llrs: &[f32], frames: usize) -> usize {
+    fn load_llrs_impl(&mut self, frames: &[(usize, &[f32])]) -> usize {
         let n = self.code.n();
         let quantizer = QuantizerSse::new(&self.quantizer);
+        let bias = _mm_set1_epi16(self.bias as i16);
+        let lanes = frames.iter().fold(0u64, |m, &(f, _)| m | 0xFF << (8 * f));
+        let mask8 = _mm_set1_epi64x(lanes as i64);
+        let mask16 = _mm_cvtepi8_epi16(mask8);
+        let ch = self.ch.as_mut_ptr().cast::<__m128i>();
+        let t = self.t.as_mut_ptr().cast::<__m128i>();
         let steps = n / LOAD_BITS;
         for k in 0..steps {
             let b = k * LOAD_BITS;
-            // Absent frames stay at channel 0, like the portable load.
-            let mut rows = [_mm_setzero_si128(); 8];
-            for (f, row) in rows.iter_mut().enumerate().take(frames) {
-                *row = quantizer.quantize16(&llrs[f * n + b..f * n + b + LOAD_BITS]);
+            let mut rows = [_mm_setzero_si128(); PACK_LANES];
+            for &(f, llrs) in frames {
+                rows[f] = quantizer.quantize16(&llrs[b..b + LOAD_BITS]);
             }
-            self.store_tile(b, rows);
+            for (i, w) in transpose(rows).into_iter().enumerate() {
+                // Word pair i covers bits b + 2i (low half) and b + 2i + 1.
+                let (b0, b1) = (b + 2 * i, b + 2 * i + 1);
+                let w0 = _mm_add_epi16(_mm_cvtepi8_epi16(w), bias);
+                let w1 = _mm_add_epi16(_mm_cvtepi8_epi16(_mm_unpackhi_epi64(w, w)), bias);
+                // SAFETY: b1 < b + 16 <= n, so the 16-byte channel pair at
+                // word b0 and the 16-byte totals of bits b0 and b1 are in
+                // bounds of their n-entry planes.
+                unsafe {
+                    blend_into(ch.cast::<u64>().add(b0).cast(), w, mask8);
+                    blend_into(t.add(b0), w0, mask16);
+                    blend_into(t.add(b1), w1, mask16);
+                }
+            }
         }
         steps * LOAD_BITS
     }
 
-    /// Transposes an 8 × 16 tile of quantized channel bytes (row `f` =
-    /// frame `f`, column `i` = bit `b + i`) into the lane words of bits
-    /// `b..b + 16` and writes all three channel planes for them.
-    #[target_feature(enable = "ssse3,sse4.1")]
-    fn store_tile(&mut self, b: usize, r: [__m128i; 8]) {
-        // Round 1 pairs frames (i16 elements), round 2 quads (i32),
-        // round 3 octets (i64): afterwards word `j` of `words[i]` is bit
-        // `b + 2i + j`'s lane word, frame f in byte f.
-        let t = [
-            _mm_unpacklo_epi8(r[0], r[1]),
-            _mm_unpackhi_epi8(r[0], r[1]),
-            _mm_unpacklo_epi8(r[2], r[3]),
-            _mm_unpackhi_epi8(r[2], r[3]),
-            _mm_unpacklo_epi8(r[4], r[5]),
-            _mm_unpackhi_epi8(r[4], r[5]),
-            _mm_unpacklo_epi8(r[6], r[7]),
-            _mm_unpackhi_epi8(r[6], r[7]),
-        ];
-        let u = [
-            _mm_unpacklo_epi16(t[0], t[2]),
-            _mm_unpackhi_epi16(t[0], t[2]),
-            _mm_unpacklo_epi16(t[1], t[3]),
-            _mm_unpackhi_epi16(t[1], t[3]),
-            _mm_unpacklo_epi16(t[4], t[6]),
-            _mm_unpackhi_epi16(t[4], t[6]),
-            _mm_unpacklo_epi16(t[5], t[7]),
-            _mm_unpackhi_epi16(t[5], t[7]),
-        ];
-        let words = [
-            _mm_unpacklo_epi32(u[0], u[4]),
-            _mm_unpackhi_epi32(u[0], u[4]),
-            _mm_unpacklo_epi32(u[1], u[5]),
-            _mm_unpackhi_epi32(u[1], u[5]),
-            _mm_unpacklo_epi32(u[2], u[6]),
-            _mm_unpackhi_epi32(u[2], u[6]),
-            _mm_unpacklo_epi32(u[3], u[7]),
-            _mm_unpackhi_epi32(u[3], u[7]),
-        ];
-        let msg_max = _mm_set1_epi8(self.config.msg_max() as i8);
-        let neg_msg_max = _mm_set1_epi8(-self.config.msg_max() as i8);
-        let bias = _mm_set1_epi16(self.bias as i16);
-        let sat = &mut self.ch_sat[b..b + LOAD_BITS];
-        let even = &mut self.chb_even[b..b + LOAD_BITS];
-        let odd = &mut self.chb_odd[b..b + LOAD_BITS];
-        for (i, w) in words.into_iter().enumerate() {
-            // Saturate to the message width; widen the even / odd byte
-            // lanes (sign-extending) into the biased u16 planes.
-            let s = _mm_max_epi8(_mm_min_epi8(w, msg_max), neg_msg_max);
-            let e = _mm_add_epi16(_mm_srai_epi16(_mm_slli_epi16(w, 8), 8), bias);
-            let o = _mm_add_epi16(_mm_srai_epi16(w, 8), bias);
-            // SAFETY: each plane slice holds 16 words, so words 2i and
-            // 2i + 1 (i < 8) are in bounds for one 128-bit store.
-            unsafe {
-                _mm_storeu_si128(sat.as_mut_ptr().add(2 * i).cast(), s);
-                _mm_storeu_si128(even.as_mut_ptr().add(2 * i).cast(), e);
-                _mm_storeu_si128(odd.as_mut_ptr().add(2 * i).cast(), o);
-            }
-        }
-    }
-
-    /// One full iteration (cn + bn phases) on 128-bit vectors.
-    #[target_feature(enable = "ssse3,sse4.1")]
-    fn phases_sse(&mut self) {
-        self.cn_phase_sse();
-        self.bn_phase_sse();
-    }
-
-    /// Check-node phase: sign product as the XOR of the raw signed
-    /// words (sign bits XOR in place), two-minimum scan as
-    /// `min1' = pminub(min1, mag)`,
+    /// The edge pass on 128-bit vectors: the accumulator preset to
+    /// `bias + ch` (`pmovsxbw` + `paddw` per bit), then the edges.
+    ///
+    /// Inputs: `clamp(t[bit] − cb[e])` per edge — `pmovsxbw` widens the
+    /// (keep-masked) message word, `psubw` takes it off the bit's total,
+    /// and `packsswb` of two edges' `u − bias` followed by a byte clamp
+    /// to `±msg_max` is the saturated extrinsic (the i8 saturation never
+    /// cuts inside the `±msg_max` rail).
+    ///
+    /// Scan: sign product as the XOR of the raw input words (sign bits
+    /// XOR in place), two-minimum as `min1' = pminub(min1, mag)`,
     /// `min2' = pminub(min2, pmaxub(min1, mag))` — value-identical to
     /// the strict-`<` scalar recurrence (ties keep the earlier argmin
-    /// via the strict `pcmpgtb` blend).
-    ///
-    /// A check's edges are contiguous in the message arrays, so the
-    /// scan walks them **two per 128-bit op**: edge `2p` in the low
-    /// half, edge `2p+1` in the high half, each half carrying its own
+    /// via the strict `pcmpgtb` blend). A check's edges are contiguous,
+    /// so the scan walks them **two per 128-bit op**: edge `2p` in the
+    /// low half, edge `2p+1` in the high half, each half carrying its own
     /// running two-minimum state. The halves merge at the end —
     /// combined `min1 = min(a, b)`,
     /// `min2 = min(max(min1_a, min1_b), min(min2_a, min2_b))`, and on a
     /// `min1` value tie the smaller edge index wins (`pminub` on the
     /// argmin lanes), which reproduces the scalar first-wins rule
     /// because the halves interleave even/odd edge positions.
+    ///
+    /// Outputs are stored in place and `paddw`-ed into the bits' next
+    /// totals.
     #[target_feature(enable = "ssse3,sse4.1")]
-    pub(super) fn cn_phase_sse(&mut self) {
+    pub(super) fn pass_sse(&mut self) {
         let code = self.code.clone();
         let graph = code.graph();
         let scaling = self.config.scaling;
+        let msg_max = self.config.msg_max() as i8;
+        let rail = (_mm_set1_epi8(msg_max), _mm_set1_epi8(-msg_max));
+        let b16 = _mm_set1_epi16(self.bias as i16);
+        let keep = _mm_set1_epi64x(self.cb_keep as i64);
         let seed = _mm_set1_epi8(0x7F);
         let zero = _mm_setzero_si128();
-        // Byte 0 in the low half, 1 in the high half: offsets of the two
-        // edges a pair op covers, relative to index `2p`.
-        let lane_off = _mm_set_epi64x(0x0101_0101_0101_0101, 0);
-        let bc = self.bc.as_ptr();
+        // Edge indices of the first pair (0 in the low half, 1 in the
+        // high half) and the step to the next pair.
+        let first_pair = _mm_set_epi64x(0x0101_0101_0101_0101, 0);
+        let two = _mm_set1_epi8(2);
+        let t = self.t.as_ptr().cast::<__m128i>();
         let cb = self.cb.as_mut_ptr();
+        let mut inputs = [zero; MAX_CN_DEGREE.div_ceil(2)];
+        for (acc, &c) in self.acc.iter_mut().zip(&self.ch) {
+            let preset = _mm_add_epi16(_mm_cvtepi8_epi16(load64(c)), b16);
+            // SAFETY: `acc` is one bit's 16-byte total.
+            unsafe { _mm_storeu_si128(acc.as_mut_ptr().cast(), preset) };
+        }
+        let acc = self.acc.as_mut_ptr().cast::<__m128i>();
         for m in 0..graph.n_checks() {
             let range = graph.cn_edge_range(m);
+            let bits = graph.cn_bits(m);
             let (start, deg) = (range.start, range.len());
             let pairs = deg / 2;
             let mut sp = zero;
             let mut min1 = seed;
             let mut min2 = seed;
             let mut argmin = zero;
+            let mut idx = first_pair;
             for p in 0..pairs {
-                // SAFETY: start + 2p + 1 < start + deg <= bc.len(), so
-                // the 128-bit load covers two in-bounds words.
-                let val = unsafe { _mm_loadu_si128(bc.add(start + 2 * p).cast()) };
+                let (b0, b1) = (bits[2 * p] as usize, bits[2 * p + 1] as usize);
+                // SAFETY: start + 2p + 1 < start + deg <= cb.len(), so
+                // the 128-bit load covers two in-bounds words; b0 and b1
+                // are bit indices < n = t.len().
+                let val = unsafe {
+                    let c = _mm_and_si128(_mm_loadu_si128(cb.add(start + 2 * p).cast()), keep);
+                    let u0 = _mm_sub_epi16(_mm_loadu_si128(t.add(b0)), _mm_cvtepi8_epi16(c));
+                    let c1 = _mm_cvtepi8_epi16(_mm_unpackhi_epi64(c, c));
+                    let u1 = _mm_sub_epi16(_mm_loadu_si128(t.add(b1)), c1);
+                    extrinsic(u0, u1, b16, rail)
+                };
+                inputs[p] = val;
                 sp = _mm_xor_si128(sp, val);
                 let mag = _mm_abs_epi8(val);
-                let idx = _mm_add_epi8(_mm_set1_epi8((2 * p) as i8), lane_off);
                 // Strict mag < min1; signed compare is safe because every
                 // lane is in 0..=127.
                 let lt1 = _mm_cmpgt_epi8(min1, mag);
                 min2 = _mm_min_epu8(min2, _mm_max_epu8(min1, mag));
                 min1 = _mm_min_epu8(min1, mag);
                 argmin = _mm_blendv_epi8(argmin, idx, lt1);
+                idx = _mm_add_epi8(idx, two);
             }
             // Merge the two half-states (the combined multiset's two
             // smallest values and first-wins argmin; indices are
@@ -204,11 +194,17 @@ impl PackedFixedDecoder {
             argmin = _mm_blendv_epi8(argmin, _mm_min_epu8(argmin, argmin_b), eq_b);
             min2 = _mm_min_epu8(_mm_max_epu8(min1, min1_b), _mm_min_epu8(min2, min2_b));
             min1 = _mm_min_epu8(min1, min1_b);
+            let mut tail = zero;
             if deg % 2 == 1 {
-                // Odd tail: absorb the last edge in the low half.
-                let val = load64(self.bc[start + deg - 1]);
-                sp = _mm_xor_si128(sp, val);
-                let mag = _mm_abs_epi8(val);
+                // Odd tail: absorb the last edge in the low half (the
+                // high half stays zero, so the sign fold below is exact).
+                let b = bits[deg - 1] as usize;
+                let c = _mm_and_si128(load64(self.cb[start + deg - 1]), keep);
+                // SAFETY: b is a bit index < n = t.len().
+                let u = _mm_sub_epi16(unsafe { _mm_loadu_si128(t.add(b)) }, _mm_cvtepi8_epi16(c));
+                tail = _mm_move_epi64(extrinsic(u, u, b16, rail));
+                sp = _mm_xor_si128(sp, tail);
+                let mag = _mm_abs_epi8(tail);
                 let lt1 = _mm_cmpgt_epi8(min1, mag);
                 min2 = _mm_min_epu8(min2, _mm_max_epu8(min1, mag));
                 min1 = _mm_min_epu8(min1, mag);
@@ -221,67 +217,151 @@ impl PackedFixedDecoder {
             argmin = _mm_unpacklo_epi64(argmin, argmin);
             let s1 = scale_sse(_mm_unpacklo_epi64(min1, min1), scaling);
             let s2 = scale_sse(_mm_unpacklo_epi64(min2, min2), scaling);
-            for p in 0..pairs {
-                let e = start + 2 * p;
-                // SAFETY: same in-bounds pair as the scan above.
-                let val = unsafe { _mm_loadu_si128(bc.add(e).cast()) };
-                let idx = _mm_add_epi8(_mm_set1_epi8((2 * p) as i8), lane_off);
-                let eq = _mm_cmpeq_epi8(argmin, idx);
-                let mag = _mm_blendv_epi8(s1, s2, eq);
-                // Output sign mask = sign bits of (sign product XOR own
-                // sign); re-sign by conditional two's complement.
-                let neg = _mm_cmpgt_epi8(zero, _mm_xor_si128(sp, val));
-                let out = _mm_sub_epi8(_mm_xor_si128(mag, neg), neg);
-                // SAFETY: writes the same two in-bounds words.
-                unsafe { _mm_storeu_si128(cb.add(e).cast(), out) };
+            let state = CheckOut { sp, argmin, s1, s2 };
+            let mut idx = first_pair;
+            for (p, &val) in inputs[..pairs].iter().enumerate() {
+                let (b0, b1) = (bits[2 * p] as usize, bits[2 * p + 1] as usize);
+                let out = state.output(val, idx);
+                idx = _mm_add_epi8(idx, two);
+                // SAFETY: the same in-bounds edge pair and bit indices as
+                // the scan above.
+                unsafe {
+                    _mm_storeu_si128(cb.add(start + 2 * p).cast(), out);
+                    let o1 = _mm_cvtepi8_epi16(_mm_unpackhi_epi64(out, out));
+                    add_into(acc.add(b0), _mm_cvtepi8_epi16(out));
+                    add_into(acc.add(b1), o1);
+                }
             }
             if deg % 2 == 1 {
-                let e = start + deg - 1;
-                let eq = _mm_cmpeq_epi8(argmin, _mm_set1_epi8((deg - 1) as i8));
-                let mag = _mm_blendv_epi8(s1, s2, eq);
-                let neg = _mm_cmpgt_epi8(zero, _mm_xor_si128(sp, load64(self.bc[e])));
-                self.cb[e] = store64(_mm_sub_epi8(_mm_xor_si128(mag, neg), neg));
+                let out = state.output(tail, _mm_set1_epi8((deg - 1) as i8));
+                self.cb[start + deg - 1] = store64(out);
+                // SAFETY: a bit index < n = acc.len().
+                unsafe { add_into(acc.add(bits[deg - 1] as usize), _mm_cvtepi8_epi16(out)) };
             }
         }
     }
 
-    /// Bit-node phase: all 8 frames' biased sums in one register of
-    /// eight i16 lanes. Each edge's contribution is one sign-extending
-    /// widen of the signed message word (`pmovsxbw`), cached so the
-    /// exclude-self pass is a single `psubw`; the output clamps to the
-    /// signed message range and narrows with `packsswb`.
+    /// [`finish_pass`](Self::finish_pass) on 128-bit vectors: hard masks
+    /// from the new totals, two bits per `packsswb`, and the planes
+    /// swapped.
     #[target_feature(enable = "ssse3,sse4.1")]
-    pub(super) fn bn_phase_sse(&mut self) {
-        let code = self.code.clone();
-        let graph = code.graph();
+    fn finish_pass_sse(&mut self) {
         let b16 = _mm_set1_epi16(self.bias as i16);
-        let m16 = _mm_set1_epi16(self.config.msg_max());
-        let neg_m16 = _mm_set1_epi16(-self.config.msg_max());
-        let mut contrib = [_mm_setzero_si128(); MAX_BN_DEGREE];
-        for n in 0..graph.n_bits() {
-            let edges = graph.bn_edge_ids(n);
-            // Interleave the even/odd-frame u16 lane words into frame
-            // order: [f0 f1 f2 f3 f4 f5 f6 f7]. Lanes stay in
-            // 0..=2·bias <= 0x7FFF, so i16 arithmetic is exact.
-            let mut t = _mm_unpacklo_epi16(load64(self.chb_even[n]), load64(self.chb_odd[n]));
-            for (i, &e) in edges.iter().enumerate() {
-                let c = _mm_cvtepi8_epi16(load64(self.cb[e as usize]));
-                contrib[i] = c;
-                t = _mm_add_epi16(t, c);
+        let mut masks = self.hard_mask.chunks_exact_mut(2);
+        let mut totals = self.acc.chunks_exact(2);
+        for (mask, acc) in (&mut masks).zip(&mut totals) {
+            // SAFETY: `acc` holds two bits' 16-byte totals and `mask` two
+            // 8-byte words.
+            unsafe {
+                let h0 = _mm_cmpgt_epi16(b16, _mm_loadu_si128(acc[0].as_ptr().cast()));
+                let h1 = _mm_cmpgt_epi16(b16, _mm_loadu_si128(acc[1].as_ptr().cast()));
+                _mm_storeu_si128(mask.as_mut_ptr().cast(), _mm_packs_epi16(h0, h1));
             }
-            for (i, &e) in edges.iter().enumerate() {
-                let u = _mm_sub_epi16(t, contrib[i]);
-                // Signed extrinsic value = u - bias; saturate to the
-                // message range, then the signed narrow is exact.
-                let v = _mm_sub_epi16(u, b16);
-                let clamped = _mm_max_epi16(_mm_min_epi16(v, m16), neg_m16);
-                self.bc[e as usize] = store64(_mm_packs_epi16(clamped, clamped));
-            }
-            // Hard decision: posterior < 0 iff biased total < bias.
-            let hard = _mm_cmpgt_epi16(b16, t);
-            self.hard_mask[n] = store64(_mm_packs_epi16(hard, hard));
         }
+        for (mask, acc) in masks.into_remainder().iter_mut().zip(totals.remainder()) {
+            // SAFETY: `acc` is one bit's 16-byte total.
+            let hard = _mm_cmpgt_epi16(b16, unsafe { _mm_loadu_si128(acc.as_ptr().cast()) });
+            *mask = store64(_mm_packs_epi16(hard, hard));
+        }
+        std::mem::swap(&mut self.t, &mut self.acc);
+        self.cb_keep = !0;
     }
+}
+
+/// A check's folded scan state, broadcast to both halves.
+struct CheckOut {
+    sp: __m128i,
+    argmin: __m128i,
+    s1: __m128i,
+    s2: __m128i,
+}
+
+impl CheckOut {
+    /// Outputs toward the edges at `idx` whose inputs were `val`:
+    /// magnitude `s2` at the argmin and `s1` elsewhere, negated where the
+    /// sign product XOR own input has its sign bit set (`psignb` on that
+    /// XOR with bit 0 forced, so it is never zero).
+    #[inline]
+    #[target_feature(enable = "ssse3,sse4.1")]
+    fn output(&self, val: __m128i, idx: __m128i) -> __m128i {
+        let mag = _mm_blendv_epi8(self.s1, self.s2, _mm_cmpeq_epi8(self.argmin, idx));
+        let sign = _mm_or_si128(_mm_xor_si128(self.sp, val), _mm_set1_epi8(1));
+        _mm_sign_epi8(mag, sign)
+    }
+}
+
+/// Two edges' extrinsic inputs from their biased sums `u0`, `u1`:
+/// `u − bias` narrowed with signed saturation (`packsswb`, edge 0 in the
+/// low half) and clamped to the message rail `±msg_max`.
+#[inline]
+#[target_feature(enable = "ssse3,sse4.1")]
+fn extrinsic(u0: __m128i, u1: __m128i, b16: __m128i, rail: (__m128i, __m128i)) -> __m128i {
+    let v = _mm_packs_epi16(_mm_sub_epi16(u0, b16), _mm_sub_epi16(u1, b16));
+    _mm_max_epi8(_mm_min_epi8(v, rail.0), rail.1)
+}
+
+/// Transposes an 8 × 16 tile of bytes (row `f` = frame `f`, column `i`
+/// = bit `b + i`) into lane words: afterwards the low half of word `i`
+/// is bit `b + 2i`'s lane word (frame `f` in byte `f`), the high half
+/// bit `b + 2i + 1`'s. Round 1 pairs frames (i16 elements), round 2
+/// quads (i32), round 3 octets (i64).
+#[inline]
+#[target_feature(enable = "ssse3,sse4.1")]
+fn transpose(r: [__m128i; PACK_LANES]) -> [__m128i; PACK_LANES] {
+    let t = [
+        _mm_unpacklo_epi8(r[0], r[1]),
+        _mm_unpackhi_epi8(r[0], r[1]),
+        _mm_unpacklo_epi8(r[2], r[3]),
+        _mm_unpackhi_epi8(r[2], r[3]),
+        _mm_unpacklo_epi8(r[4], r[5]),
+        _mm_unpackhi_epi8(r[4], r[5]),
+        _mm_unpacklo_epi8(r[6], r[7]),
+        _mm_unpackhi_epi8(r[6], r[7]),
+    ];
+    let u = [
+        _mm_unpacklo_epi16(t[0], t[2]),
+        _mm_unpackhi_epi16(t[0], t[2]),
+        _mm_unpacklo_epi16(t[1], t[3]),
+        _mm_unpackhi_epi16(t[1], t[3]),
+        _mm_unpacklo_epi16(t[4], t[6]),
+        _mm_unpackhi_epi16(t[4], t[6]),
+        _mm_unpacklo_epi16(t[5], t[7]),
+        _mm_unpackhi_epi16(t[5], t[7]),
+    ];
+    [
+        _mm_unpacklo_epi32(u[0], u[4]),
+        _mm_unpackhi_epi32(u[0], u[4]),
+        _mm_unpacklo_epi32(u[1], u[5]),
+        _mm_unpackhi_epi32(u[1], u[5]),
+        _mm_unpacklo_epi32(u[2], u[6]),
+        _mm_unpackhi_epi32(u[2], u[6]),
+        _mm_unpacklo_epi32(u[3], u[7]),
+        _mm_unpackhi_epi32(u[3], u[7]),
+    ]
+}
+
+/// `*p = v` in the byte lanes `mask` selects, `*p` kept elsewhere.
+///
+/// # Safety
+///
+/// `p` must point at 16 readable and writable bytes.
+#[inline]
+#[target_feature(enable = "ssse3,sse4.1")]
+unsafe fn blend_into(p: *mut __m128i, v: __m128i, mask: __m128i) {
+    // SAFETY: the caller guarantees `p` covers 16 valid bytes.
+    unsafe { _mm_storeu_si128(p, _mm_blendv_epi8(_mm_loadu_si128(p), v, mask)) };
+}
+
+/// `*p += v` on eight i16 lanes.
+///
+/// # Safety
+///
+/// `p` must point at 16 readable and writable bytes.
+#[inline]
+#[target_feature(enable = "ssse3,sse4.1")]
+unsafe fn add_into(p: *mut __m128i, v: __m128i) {
+    // SAFETY: the caller guarantees `p` covers 16 valid bytes.
+    unsafe { _mm_storeu_si128(p, _mm_add_epi16(_mm_loadu_si128(p), v)) };
 }
 
 /// [`LlrQuantizer::quantize`] on four `f32` lanes at a time, bit-exact

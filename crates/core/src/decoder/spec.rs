@@ -392,10 +392,7 @@ impl DecoderSpec {
         if self.pack.is_some() {
             // Validation pinned the family to `fixed` and the lane count
             // to PACK_LANES, so the packed mirror is the only target.
-            return Box::new(Batched::new(PackedFixedDecoder::new(
-                code,
-                FixedConfig::default(),
-            )));
+            return Box::new(PackedFixedDecoder::new(code, FixedConfig::default()));
         }
         if let Some(config) = self.family.minsum_config() {
             return match self.batch {

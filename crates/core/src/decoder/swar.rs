@@ -1,13 +1,13 @@
 //! SWAR (SIMD-within-a-register) kernels: lane-wise fixed-point
 //! arithmetic on `u64` words of 8 × `i8` lanes (and 2 × `u64` words of
-//! 8 × `u16` lanes for the wide bit-node accumulator).
+//! 4 × `u16` lanes for the wide posterior totals).
 //!
 //! These are the word-parallel mirrors of the scalar kernels in
 //! [`kernels`](crate::decoder::kernels): one call advances 8 frames'
 //! messages at once, which is how the paper's high-speed variant gets
 //! its throughput from packing 8 frames per memory word (Table 3). The
 //! packed decoder ([`PackedFixedDecoder`](crate::PackedFixedDecoder))
-//! composes them into check-node and bit-node phases that are **bit-exact
+//! composes them into one edge pass per iteration that is **bit-exact
 //! lane by lane** against [`FixedDecoder`](crate::FixedDecoder); the
 //! kernel-level contract (every primitive equals an 8-iteration scalar
 //! loop) is pinned by `swar_proptests`.
@@ -25,7 +25,7 @@
 //!   spend fewer ops by letting the sign bit absorb borrows.
 //!
 //! On `x86_64` builds the packed decoder runs a `core::arch` SSE4.1
-//! mirror of the composed phases instead whenever the CPU supports it
+//! mirror of the composed pass instead whenever the CPU supports it
 //! (runtime feature-detected, same results bit for bit); these portable
 //! kernels remain the reference, the fallback on hosts without SSE4.1,
 //! and the only path on other architectures.
@@ -227,36 +227,51 @@ pub fn scale_mag8(mag: u64, scaling: Scaling) -> u64 {
 }
 
 // ---------------------------------------------------------------------
-// u16-lane helpers: the wide bit-node accumulator (two words of 8 x u16
-// lanes per 8-frame quantity, lo lanes = frames 0..4, hi = frames 4..8).
+// u16-lane helpers: the wide posterior totals (two words of 4 x u16
+// lanes per 8-frame quantity, lo word = frames 0..4, hi = frames 4..8 —
+// the memory order of eight i16 vector lanes).
 // ---------------------------------------------------------------------
 
-/// Widens the even byte lanes (frames 0, 2, 4, 6) of a byte word into
-/// u16 lanes.
+/// Spreads the low four bytes of `x` into the four u16 lanes.
 #[inline(always)]
-pub fn widen_even(bytes: u64) -> u64 {
-    bytes & M16
+fn spread4(x: u64) -> u64 {
+    let x = (x | (x << 16)) & 0x0000_FFFF_0000_FFFF;
+    (x | (x << 8)) & M16
 }
 
-/// Widens the odd byte lanes (frames 1, 3, 5, 7) of a byte word into
-/// u16 lanes.
+/// Gathers the low bytes of the four u16 lanes into the low four bytes.
 #[inline(always)]
-pub fn widen_odd(bytes: u64) -> u64 {
-    (bytes >> 8) & M16
+fn gather4(x: u64) -> u64 {
+    let x = (x | (x >> 8)) & 0x0000_FFFF_0000_FFFF;
+    (x | (x >> 16)) & 0xFFFF_FFFF
 }
 
-/// Narrows two u16-lane words (even / odd frames, as produced by
-/// [`widen_even`] / [`widen_odd`]) back to one byte word. Lane values
-/// must fit a byte.
+/// Widens the low byte lanes (frames 0..4) of a byte word into u16
+/// lanes.
+#[inline(always)]
+pub fn widen_lo(bytes: u64) -> u64 {
+    spread4(bytes & 0xFFFF_FFFF)
+}
+
+/// Widens the high byte lanes (frames 4..8) of a byte word into u16
+/// lanes.
+#[inline(always)]
+pub fn widen_hi(bytes: u64) -> u64 {
+    spread4(bytes >> 32)
+}
+
+/// Narrows two u16-lane words (frames 0..4 / 4..8, as produced by
+/// [`widen_lo`] / [`widen_hi`]) back to one byte word. Lane values must
+/// fit a byte.
 ///
 /// # Panics
 ///
 /// Panics in debug builds if any u16 lane exceeds `0xFF`.
 #[inline(always)]
-pub fn narrow_bytes(even: u64, odd: u64) -> u64 {
-    debug_assert_eq!(even & !M16, 0, "narrow_bytes even lane exceeds a byte");
-    debug_assert_eq!(odd & !M16, 0, "narrow_bytes odd lane exceeds a byte");
-    even | (odd << 8)
+pub fn narrow_halves(lo: u64, hi: u64) -> u64 {
+    debug_assert_eq!(lo & !M16, 0, "narrow_halves low lane exceeds a byte");
+    debug_assert_eq!(hi & !M16, 0, "narrow_halves high lane exceeds a byte");
+    gather4(lo) | (gather4(hi) << 32)
 }
 
 /// u16-lane unsigned `<` for lanes in `0..=0x7FFF`: `0xFFFF` where
@@ -434,19 +449,19 @@ mod tests {
     fn widen_narrow_roundtrip() {
         let w = pack_lanes([1, -1, 31, -31, 0, 127, -128, 64]);
         // Widening treats lanes as unsigned bytes.
-        let even = widen_even(w);
-        let odd = widen_odd(w);
-        assert_eq!(narrow_bytes(even, odd), w);
+        let lo = widen_lo(w);
+        let hi = widen_hi(w);
+        assert_eq!(narrow_halves(lo, hi), w);
         for f in 0..4 {
             assert_eq!(
-                (even >> (16 * f)) & 0xFFFF,
-                (w >> (16 * f)) & 0xFF,
-                "even lane {f}"
+                (lo >> (16 * f)) & 0xFFFF,
+                (w >> (8 * f)) & 0xFF,
+                "low lane {f}"
             );
             assert_eq!(
-                (odd >> (16 * f)) & 0xFFFF,
-                (w >> (16 * f + 8)) & 0xFF,
-                "odd lane {f}"
+                (hi >> (16 * f)) & 0xFFFF,
+                (w >> (8 * f + 32)) & 0xFF,
+                "high lane {f}"
             );
         }
     }

@@ -15,8 +15,8 @@ use gf2::lanes::{pack_lanes, unpack_lanes};
 use ldpc_core::decoder::kernels::Scaling;
 use ldpc_core::decoder::swar::{
     abs_i8, add_wrap8, adds_i8, apply_sign8, clamp_i8, eq7_mask, ltu15_mask16, ltu7_mask, ltu_mask,
-    min_mag_i8, min_u16, narrow_bytes, scale_mag8, select8, sign_mask8, sign_xor8, splat8,
-    sub_wrap8, widen_even, widen_odd,
+    min_mag_i8, min_u16, narrow_halves, scale_mag8, select8, sign_mask8, sign_xor8, splat8,
+    sub_wrap8, widen_hi, widen_lo,
 };
 use proptest::prelude::*;
 
@@ -248,12 +248,12 @@ proptest! {
     #[test]
     fn widen_narrow_roundtrip(a in word()) {
         let w = pack_lanes(a);
-        let (even, odd) = (widen_even(w), widen_odd(w));
-        prop_assert_eq!(narrow_bytes(even, odd), w);
-        let (le, lo) = (unpack16(even), unpack16(odd));
+        let (lo, hi) = (widen_lo(w), widen_hi(w));
+        prop_assert_eq!(narrow_halves(lo, hi), w);
+        let (ll, lh) = (unpack16(lo), unpack16(hi));
         for f in 0..4 {
-            prop_assert_eq!(le[f], u16::from(a[2 * f] as u8), "even lane {}", f);
-            prop_assert_eq!(lo[f], u16::from(a[2 * f + 1] as u8), "odd lane {}", f);
+            prop_assert_eq!(ll[f], u16::from(a[f] as u8), "low lane {}", f);
+            prop_assert_eq!(lh[f], u16::from(a[f + 4] as u8), "high lane {}", f);
         }
     }
 

@@ -34,7 +34,11 @@
 //!
 //! Every door funnels into the same worker loop, which is generic over
 //! the code's transmission profile ([`CodeHandle`]) and the channel
-//! model ([`ChannelSpec`]) — AWGN is the default, not a hardcode.
+//! model ([`ChannelSpec`]) — AWGN is the default, not a hardcode. Each
+//! worker streams its frames through [`BlockDecoder::decode_stream`]:
+//! frames are claimed and generated one at a time as the decoder pulls
+//! them, so a packed word refills the lane of each frame that retires
+//! instead of waiting for its slowest lane.
 //!
 //! # Example
 //!
@@ -78,9 +82,13 @@ pub use scenario::{run_point_scenario, split_spec_list, Scenario, ScenarioError}
 
 use gf2::BitVec;
 use ldpc_channel::ChannelSpec;
-use ldpc_core::{BlockDecoder, CodeHandle, DecoderSpec, Encoder, LdpcCode, PlainCode};
+use ldpc_core::{
+    BlockDecoder, CodeHandle, DecodeResult, DecoderSpec, Encoder, LdpcCode, PlainCode,
+};
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
+use std::cell::RefCell;
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -201,7 +209,11 @@ impl PointResult {
 
 /// Wilson score interval for a binomial proportion.
 ///
-/// Returns `(low, high)`; for zero trials returns `(0, 1)`.
+/// Returns `(low, high)`; for zero trials returns `(0, 1)`. With no
+/// successes the low end is exactly `0`, and with all successes the high
+/// end is exactly `1`: there the centre and half-width are equal in exact
+/// arithmetic, and their float difference would leave a rounding
+/// residue such as `1e-19`.
 ///
 /// ```
 /// let (lo, hi) = ldpc_sim::wilson_interval(5, 100, 1.96);
@@ -217,20 +229,32 @@ pub fn wilson_interval(successes: u64, trials: u64, z: f64) -> (f64, f64) {
     let denom = 1.0 + z2 / n;
     let centre = (p + z2 / (2.0 * n)) / denom;
     let half = (z / denom) * (p * (1.0 - p) / n + z2 / (4.0 * n * n)).sqrt();
-    ((centre - half).max(0.0), (centre + half).min(1.0))
+    let low = if successes == 0 {
+        0.0
+    } else {
+        (centre - half).max(0.0)
+    };
+    let high = if successes == trials {
+        1.0
+    } else {
+        (centre + half).min(1.0)
+    };
+    (low, high)
 }
 
 /// Simulates one Eb/N0 point with any decoder named by a
 /// [`DecoderSpec`] — the declarative front door of the engine.
 ///
 /// One decoder is built per worker thread via
-/// [`DecoderSpec::build`]. The engine claims frames in blocks of the
-/// decoder's preferred granularity
-/// ([`BlockDecoder::block_frames`]): 1 for scalar families, the batch
-/// capacity for `@batch=N`, 64 for `@bitslice`. Because the packed
-/// mirrors are bit-exact against their scalar references, a
-/// single-threaded run with `target_frame_errors == 0` produces counts
-/// that depend only on the family, not on the packing (pinned by tests).
+/// [`DecoderSpec::build`], and each worker streams its frames through
+/// [`BlockDecoder::decode_stream`]: the decoder pulls frames one at a
+/// time — in blocks of its preferred granularity
+/// ([`BlockDecoder::block_frames`]: 1 for scalar families, the batch
+/// capacity for `@batch=N`, 64 for `@bitslice`), or lane by lane as
+/// frames retire for `@pack=8`. Because the packed mirrors are bit-exact
+/// against their scalar references, a single-threaded run with
+/// `target_frame_errors == 0` produces counts that depend only on the
+/// family, not on the packing (pinned by tests).
 ///
 /// For [`Transmission::Random`] an encoder is required; with
 /// [`Transmission::AllZero`] pass `None`. Information-bit errors are
@@ -251,11 +275,12 @@ pub fn run_point_spec(
     run_point_blocks(code, encoder, cfg, || spec.build(code))
 }
 
-/// The one Monte-Carlo engine: workers claim
-/// [`block_frames`](BlockDecoder::block_frames) frames at a time from a
-/// shared counter, generate them from deterministic per-worker noise
-/// streams, decode through the object-safe [`BlockDecoder`] front door,
-/// and accumulate error counts.
+/// The one Monte-Carlo engine: each worker streams frames through the
+/// object-safe [`BlockDecoder`] front door
+/// ([`decode_stream`](BlockDecoder::decode_stream)), claiming each frame
+/// from a shared counter as the decoder pulls it, generating it from a
+/// deterministic per-worker noise stream, and counting its errors as its
+/// result arrives.
 ///
 /// `factory` builds one decoder per worker (decoders are stateful
 /// workspaces and not shared); use [`PerFrame`](ldpc_core::PerFrame) /
@@ -316,18 +341,24 @@ pub(crate) const WORKER_SEED_STRIDE: u64 = 0x9E37_79B9_7F4A_7C15;
 ///
 /// Per worker `t`: a deterministic seed is derived from `cfg.seed`, the
 /// channel is built from `channel_spec` at the operating point
-/// (`cfg.ebn0_db`, `handle.rate()`), and frames are claimed in blocks of
-/// the decoder's preferred granularity. Each frame's transmitted bits go
-/// through the channel; the received LLRs are expanded back to
-/// full-length decoder input by the handle (identity for plain codes,
-/// known-bit certainty for shortened positions, erasures for punctured
-/// ones). Errors are counted over `count_positions`.
+/// (`cfg.ebn0_db`, `handle.rate()`), and the decoder pulls frames through
+/// [`BlockDecoder::decode_stream`]: each pull checks the frame-error
+/// target, claims one frame under the cap, generates it and keeps its
+/// codeword by stream index until its result arrives, so the frames in
+/// flight are bounded by the decoder's lanes (or block), not by the run
+/// length. Frames are generated in pull order, so a single worker's
+/// noise stream does not depend on the decoder. Each frame's
+/// transmitted bits go through the channel; the received LLRs are
+/// expanded back to full-length decoder input by the handle (identity
+/// for plain codes, known-bit certainty for shortened positions,
+/// erasures for punctured ones). Errors are counted over
+/// `count_positions`.
 ///
-/// `progress` (when given) is incremented by the number of frames each
-/// worker claims, at claim time. Because claims go through a capped CAS,
-/// the increments over one engine run never exceed `cfg.max_frames` —
-/// the counter is a live progress gauge, not an overshooting one (the
-/// sweep orchestrator shares one counter across every chunk it runs).
+/// `progress` (when given) is incremented by one per claimed frame, at
+/// claim time. Because claims go through a capped CAS, the increments
+/// over one engine run never exceed `cfg.max_frames` — the counter is a
+/// live progress gauge, not an overshooting one (the sweep orchestrator
+/// shares one counter across every chunk it runs).
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run_point_engine<F, B>(
     handle: &dyn CodeHandle,
@@ -411,8 +442,6 @@ where
 
     let worker = |t: usize| {
         let mut decoder = factory();
-        let block = decoder.block_frames() as u64;
-        assert!(block > 0, "decoder claims zero frames per block");
         // Disjoint deterministic streams per worker.
         let worker_seed = cfg
             .seed
@@ -421,77 +450,66 @@ where
         let mut msg_rng = StdRng::seed_from_u64(worker_seed ^ 0xABCD_EF01);
         let zero = BitVec::zeros(n);
         let zero_tx = BitVec::zeros(tx_len);
-        let mut llrs: Vec<f32> = Vec::with_capacity(block as usize * n);
-        let mut codewords: Vec<BitVec> = Vec::with_capacity(block as usize);
-        loop {
+        // Codewords of the frames in flight, by stream index.
+        let in_flight: RefCell<HashMap<u64, BitVec>> = RefCell::default();
+        let mut pulled = 0u64;
+        let mut next = |llrs: &mut Vec<f32>| {
             if cfg.target_frame_errors > 0
                 && frame_errors.load(Ordering::Relaxed) >= cfg.target_frame_errors
             {
-                break;
+                return false;
             }
-            // Claim up to one block, never past the cap: a capped
-            // CAS (instead of an unconditional fetch_add) keeps
-            // `frames_claimed` ≤ max_frames under any number of
-            // racing workers, so the counter doubles as an exact
-            // progress gauge. The final claim may be partial.
-            let mut current = frames_claimed.load(Ordering::Relaxed);
-            let count = loop {
-                if current >= cfg.max_frames {
-                    break 0;
-                }
-                let next = cfg.max_frames.min(current + block);
-                match frames_claimed.compare_exchange_weak(
-                    current,
-                    next,
-                    Ordering::Relaxed,
-                    Ordering::Relaxed,
-                ) {
-                    Ok(_) => break next - current,
-                    Err(seen) => current = seen,
-                }
-            };
-            if count == 0 {
-                break;
+            // Claim one frame, never past the cap: a capped CAS (instead
+            // of an unconditional fetch_add) keeps `frames_claimed` ≤
+            // max_frames under any number of racing workers, so the
+            // counter doubles as an exact progress gauge.
+            let claimed = frames_claimed.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |c| {
+                (c < cfg.max_frames).then_some(c + 1)
+            });
+            if claimed.is_err() {
+                return false;
             }
             if let Some(progress) = progress {
-                progress.fetch_add(count, Ordering::Relaxed);
+                progress.fetch_add(1, Ordering::Relaxed);
             }
-            llrs.clear();
-            codewords.clear();
-            for _ in 0..count {
-                let codeword = match cfg.transmission {
-                    Transmission::AllZero => zero.clone(),
-                    Transmission::Random => {
-                        let enc = encoder.as_ref().expect("checked above");
-                        let msg = random_message(&mut msg_rng, enc.dimension());
-                        enc.encode(&msg).expect("message length matches dimension")
-                    }
-                };
-                // With a partial transmission profile only the
-                // all-zero codeword is simulated (asserted above),
-                // so the transmitted bits are all zero too.
-                let received = if tx_len == n {
-                    channel.transmit_codeword(&codeword)
-                } else {
-                    channel.transmit_codeword(&zero_tx)
-                };
-                handle.expand_llrs_into(&received, &mut llrs);
-                codewords.push(codeword);
-            }
-            let results = decoder.decode_block(&llrs, cfg.max_iterations);
-            for (out, codeword) in results.iter().zip(&codewords) {
-                total_iterations.fetch_add(u64::from(out.iterations), Ordering::Relaxed);
-                let errors_this_frame = count_errors(&out.hard_decision, codeword, &count_mask);
-                if errors_this_frame > 0 {
-                    bit_errors.fetch_add(errors_this_frame, Ordering::Relaxed);
-                    frame_errors.fetch_add(1, Ordering::Relaxed);
-                    if out.converged {
-                        undetected.fetch_add(1, Ordering::Relaxed);
-                    }
+            let codeword = match cfg.transmission {
+                Transmission::AllZero => zero.clone(),
+                Transmission::Random => {
+                    let enc = encoder.as_ref().expect("checked above");
+                    let msg = random_message(&mut msg_rng, enc.dimension());
+                    enc.encode(&msg).expect("message length matches dimension")
                 }
-                frames_done.fetch_add(1, Ordering::Relaxed);
+            };
+            // With a partial transmission profile only the all-zero
+            // codeword is simulated (asserted above), so the transmitted
+            // bits are all zero too.
+            let received = if tx_len == n {
+                channel.transmit_codeword(&codeword)
+            } else {
+                channel.transmit_codeword(&zero_tx)
+            };
+            handle.expand_llrs_into(&received, llrs);
+            in_flight.borrow_mut().insert(pulled, codeword);
+            pulled += 1;
+            true
+        };
+        let mut done = |frame: u64, out: DecodeResult| {
+            let codeword = in_flight
+                .borrow_mut()
+                .remove(&frame)
+                .expect("a pulled frame");
+            total_iterations.fetch_add(u64::from(out.iterations), Ordering::Relaxed);
+            let errors_this_frame = count_errors(&out.hard_decision, &codeword, &count_mask);
+            if errors_this_frame > 0 {
+                bit_errors.fetch_add(errors_this_frame, Ordering::Relaxed);
+                frame_errors.fetch_add(1, Ordering::Relaxed);
+                if out.converged {
+                    undetected.fetch_add(1, Ordering::Relaxed);
+                }
             }
-        }
+            frames_done.fetch_add(1, Ordering::Relaxed);
+        };
+        decoder.decode_stream(cfg.max_iterations, &mut next, &mut done);
     };
     if threads == 1 {
         // A lone worker runs on the calling thread: the orchestrator
@@ -795,7 +813,7 @@ mod tests {
     }
 
     /// With a frame-error target, each worker can have at most one block
-    /// in flight past the stop: at an SNR where every frame errors, the
+    /// (one word of lanes) in flight past the stop: at an SNR where every frame errors, the
     /// total simulated frames are bounded by the target's own stop point
     /// plus `threads × block`.
     #[test]
@@ -842,8 +860,22 @@ mod tests {
     }
 
     #[test]
+    fn wilson_endpoints_are_exact_at_zero_and_all_successes() {
+        for z in [1.0, 1.96, 2.576] {
+            for n in 1..=5000u64 {
+                let (lo, hi) = wilson_interval(0, n, z);
+                assert_eq!(lo, 0.0, "0 of {n}, z {z}");
+                assert!(hi > 0.0 && hi < 1.0, "0 of {n}, z {z}: {hi}");
+                let (lo, hi) = wilson_interval(n, n, z);
+                assert_eq!(hi, 1.0, "{n} of {n}, z {z}");
+                assert!(lo > 0.0 && lo < 1.0, "{n} of {n}, z {z}: {lo}");
+            }
+        }
+    }
+
+    #[test]
     fn batched_point_matches_per_frame_exactly_single_thread() {
-        // The engine claims block_frames() frames per step; bit-exact
+        // The engine streams frames in block_frames() groups; bit-exact
         // batched decoding then makes counts independent of the packing.
         let code = demo_code();
         let cfg = MonteCarloConfig {

@@ -7,8 +7,14 @@
 //! are bit-exact against scalar `fixed` frame by frame before timing
 //! anything, and writes the measured numbers to `BENCH_A10.json` at the
 //! workspace root. The acceptance bar is >= 8x frames/sec over scalar
-//! `fixed`. The default build runs the SSE4.1 mirror wherever the CPU
-//! has it (reported in the JSON's `simd` flag and `build` object).
+//! `fixed`. The decoder runs its edge pass on the widest vector tier the
+//! CPU has — AVX2 (four edges per 256-bit op), else SSE4.1 (two per
+//! 128-bit op), else the portable SWAR words — reported as `simd_tier`
+//! in the JSON's `build` object (`simd` says whether a vector tier ran).
+//! The per-tier pass times and the per-stage split of a frame stream on
+//! each tier come from `ldpc-core`'s ignored `profile_phase_split` test,
+//! which can pin a tier:
+//! `cargo test --release -p ldpc-core --lib profile_phase_split -- --ignored --nocapture`.
 //!
 //! A second table decodes 2000 frames at 4 dB with early termination on,
 //! word by word (each word runs until its slowest lane retires) and
@@ -73,14 +79,7 @@ fn regenerate_a10() -> A10Numbers {
     });
     let packed_fps = frames_per_sec(total, || decode_packed(&mut packed, &llrs));
 
-    println!(
-        "  simd mirror: {}",
-        if PackedFixedDecoder::simd_active() {
-            "active (SSE4.1)"
-        } else {
-            "off (portable SWAR)"
-        }
-    );
+    println!("  simd tier: {}", PackedFixedDecoder::simd_tier());
     println!("  fixed (scalar)     : {fixed_fps:>8.1} fr/s");
     println!(
         "  fixed@pack=8       : {packed_fps:>8.1} fr/s = {:.2}x fixed (all {total} frames bit-exact)",

@@ -72,10 +72,11 @@ pub fn frames_per_sec(total_frames: usize, mut run: impl FnMut()) -> f64 {
 
 /// Provenance of the build a bench measured, as the JSON `build` object
 /// of its `BENCH_*.json`: cargo features (the workspace crates define
-/// none, so the list is empty), whether the packed decoder's SSE4.1
-/// path runs on this host, the target architecture, and the checkout's
-/// git revision (`-dirty` with uncommitted changes, `unknown` outside a
-/// git checkout).
+/// none, so the list is empty), whether a vector tier of the packed
+/// decoder runs on this host and which (`"avx2"`, `"sse4.1"` or
+/// `"portable"`), the target architecture, and the checkout's git
+/// revision (`-dirty` with uncommitted changes, `unknown` outside a git
+/// checkout).
 pub fn build_json() -> String {
     let rev = std::process::Command::new("git")
         .args(["describe", "--always", "--dirty", "--abbrev=12"])
@@ -87,8 +88,9 @@ pub fn build_json() -> String {
         .map(|rev| rev.trim().to_string())
         .unwrap_or_else(|| "unknown".to_string());
     format!(
-        "{{\"features\": [], \"simd_active\": {}, \"target_arch\": \"{}\", \"git_rev\": \"{rev}\"}}",
+        "{{\"features\": [], \"simd_active\": {}, \"simd_tier\": \"{}\", \"target_arch\": \"{}\", \"git_rev\": \"{rev}\"}}",
         PackedFixedDecoder::simd_active(),
+        PackedFixedDecoder::simd_tier(),
         std::env::consts::ARCH,
     )
 }
@@ -113,7 +115,13 @@ mod tests {
     #[test]
     fn build_json_names_every_provenance_field() {
         let json = build_json();
-        for key in ["features", "simd_active", "target_arch", "git_rev"] {
+        for key in [
+            "features",
+            "simd_active",
+            "simd_tier",
+            "target_arch",
+            "git_rev",
+        ] {
             assert!(json.contains(&format!("\"{key}\": ")), "{json}");
         }
     }

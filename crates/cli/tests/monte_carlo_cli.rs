@@ -143,3 +143,28 @@ fn error_free_row_prints_an_exact_zero_per_lo() {
     assert_eq!(field("frame_errors"), "0", "{csv}");
     assert_eq!(field("per_lo"), "0.000000e0", "{csv}");
 }
+
+/// Zero iterations decode nothing in any family: at -5 dB every frame's
+/// channel decision is wrong, so every registry family reports PER 1
+/// with 0 average iterations.
+#[test]
+fn zero_iterations_report_per_one_for_every_family() {
+    for spec in ldpc_core::DecoderSpec::all_families() {
+        let decoder = spec.to_string();
+        let csv = stdout_of(&[
+            "simulate",
+            "--demo",
+            "--ebn0",
+            "-5",
+            "--iters",
+            "0",
+            "--decoder",
+            &decoder,
+        ]);
+        let header: Vec<&str> = csv.lines().next().unwrap().split(',').collect();
+        let row: Vec<&str> = csv.lines().nth(1).unwrap().split(',').collect();
+        let field = |name: &str| row[header.iter().position(|&h| h == name).unwrap()];
+        assert_eq!(field("per"), "1.000000e0", "{decoder}: {csv}");
+        assert_eq!(field("avg_iterations"), "0.00", "{decoder}: {csv}");
+    }
+}

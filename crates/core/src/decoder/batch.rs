@@ -36,7 +36,7 @@
 //! ([`BlockDecoder::decode_stream`](crate::BlockDecoder::decode_stream)).
 
 use crate::decoder::minsum::{alpha_for_iteration, apply_correction, CnScanF32};
-use crate::decoder::{DecodeResult, Decoder, MinSumConfig};
+use crate::decoder::{channel_hard_decision, DecodeResult, Decoder, MinSumConfig};
 use crate::LdpcCode;
 use gf2::BitVec;
 use std::sync::Arc;
@@ -439,6 +439,7 @@ impl BatchDecoder for BatchMinSumDecoder {
             for (b, &llr) in frame.iter().enumerate() {
                 self.ch[b * frames + f] = llr;
             }
+            channel_hard_decision(&mut self.hard[f * n..(f + 1) * n], frame);
         }
         for e in 0..graph.n_edges() {
             let b = graph.edge_bit(e);

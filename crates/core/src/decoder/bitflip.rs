@@ -113,7 +113,8 @@ impl GallagerBDecoder {
             *h = u8::from(llr < 0.0);
         }
         let mut iterations = 0;
-        let mut converged = graph.syndrome_ok(&self.hard);
+        // A zero budget decodes nothing: the channel decision, unconverged.
+        let mut converged = max_iterations > 0 && graph.syndrome_ok(&self.hard);
         while iterations < max_iterations && !converged {
             // Evaluate all checks.
             let mut any_unsatisfied = false;
@@ -243,7 +244,8 @@ impl WeightedBitFlipDecoder {
             *h = u8::from(llr < 0.0);
         }
         let mut iterations = 0;
-        let mut converged = graph.syndrome_ok(&self.hard);
+        // A zero budget decodes nothing: the channel decision, unconverged.
+        let mut converged = max_iterations > 0 && graph.syndrome_ok(&self.hard);
         while iterations < max_iterations && !converged {
             for m in 0..graph.n_checks() {
                 let mut parity = 0u8;

@@ -155,8 +155,13 @@ impl BitsliceGallagerBDecoder {
                 unsat_any |= parity;
             }
             // Lanes with a clean syndrome converge (scalar: bottom-of-loop
-            // syndrome check / the pre-loop check when iter == 0).
-            let newly = active & !unsat_any;
+            // syndrome check / the pre-loop check when iter == 0) — unless
+            // the budget is zero, which decodes nothing.
+            let newly = if max_iterations == 0 {
+                0
+            } else {
+                active & !unsat_any
+            };
             if newly != 0 {
                 converged |= newly;
                 active &= !newly;

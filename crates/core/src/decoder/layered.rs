@@ -1,6 +1,6 @@
 //! Serial-schedule ("layered") normalized min-sum decoder.
 
-use crate::decoder::{DecodeResult, Decoder};
+use crate::decoder::{channel_hard_decision, DecodeResult, Decoder};
 use crate::LdpcCode;
 use gf2::BitVec;
 use std::sync::Arc;
@@ -83,6 +83,7 @@ impl Decoder for LayeredMinSumDecoder {
             "channel LLR length mismatch"
         );
         self.app.copy_from_slice(channel_llrs);
+        channel_hard_decision(&mut self.hard, channel_llrs);
         self.cb.iter_mut().for_each(|m| *m = 0.0);
         let mut iterations = 0;
         let mut converged = false;

@@ -1,6 +1,6 @@
 //! Floating-point min-sum decoders (plain, normalized, offset).
 
-use crate::decoder::{DecodeResult, Decoder};
+use crate::decoder::{channel_hard_decision, DecodeResult, Decoder};
 use crate::LdpcCode;
 use gf2::BitVec;
 use std::sync::Arc;
@@ -297,6 +297,7 @@ impl Decoder for MinSumDecoder {
         for e in 0..graph.n_edges() {
             self.bc[e] = channel_llrs[graph.edge_bit(e)];
         }
+        channel_hard_decision(&mut self.hard, channel_llrs);
         let mut iterations = 0;
         let mut converged = false;
         for iter in 0..max_iterations {

@@ -69,8 +69,18 @@ pub struct DecodeResult {
     /// Number of iterations actually performed.
     pub iterations: u32,
     /// `true` if the hard decision satisfies every parity check
-    /// (zero syndrome).
+    /// (zero syndrome). Always `false` at a zero iteration budget, which
+    /// decodes nothing and returns the channel hard decision.
     pub converged: bool,
+}
+
+/// Writes the channel hard decision of `llrs` into `hard`: 1 where the
+/// LLR is negative, 0 elsewhere (exact zeros and NaN tie to 0). It is
+/// every decoder's output at 0 iterations.
+fn channel_hard_decision(hard: &mut [u8], llrs: &[f32]) {
+    for (h, &llr) in hard.iter_mut().zip(llrs) {
+        *h = u8::from(llr < 0.0);
+    }
 }
 
 /// A message-passing LDPC decoder.
@@ -86,7 +96,8 @@ pub trait Decoder {
     /// Runs at most `max_iterations` iterations, stopping early when the
     /// syndrome becomes zero if the implementation supports early
     /// termination (all of the provided ones do, unless configured
-    /// otherwise).
+    /// otherwise). With `max_iterations == 0` the result is the channel
+    /// hard decision (ties at 0), 0 iterations, not converged.
     ///
     /// # Panics
     ///

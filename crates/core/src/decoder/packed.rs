@@ -15,6 +15,8 @@ use gf2::BitVec;
 use std::sync::Arc;
 
 #[cfg(target_arch = "x86_64")]
+mod avx2;
+#[cfg(target_arch = "x86_64")]
 mod sse;
 
 /// Lanes (frames) packed into each message word.
@@ -30,6 +32,65 @@ const MAX_CN_DEGREE: usize = 127;
 #[inline(always)]
 fn splat16(x: u16) -> u64 {
     u64::from(x) * 0x0001_0001_0001_0001
+}
+
+/// The instruction set the edge pass and the lane load run on, picked
+/// once per decoder from the running CPU: the widest of AVX2, SSE4.1
+/// and portable SWAR that it supports. Every tier computes the same
+/// planes bit for bit.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Tier {
+    /// `u64` SWAR word ops: every target, and the reference the vector
+    /// tiers are tested against.
+    Portable,
+    /// 128-bit SSE4.1: two edges per scan op.
+    #[cfg(target_arch = "x86_64")]
+    Sse41,
+    /// 256-bit AVX2: four edges per scan op.
+    #[cfg(target_arch = "x86_64")]
+    Avx2,
+}
+
+impl Tier {
+    /// The widest tier the running CPU supports.
+    fn detect() -> Self {
+        #[cfg(target_arch = "x86_64")]
+        {
+            if avx2::available() {
+                return Tier::Avx2;
+            }
+            if sse::available() {
+                return Tier::Sse41;
+            }
+        }
+        Tier::Portable
+    }
+
+    fn name(self) -> &'static str {
+        match self {
+            Tier::Portable => "portable",
+            #[cfg(target_arch = "x86_64")]
+            Tier::Sse41 => "sse4.1",
+            #[cfg(target_arch = "x86_64")]
+            Tier::Avx2 => "avx2",
+        }
+    }
+
+    /// Every tier the running CPU supports, narrowest first.
+    #[cfg(test)]
+    fn available() -> Vec<Self> {
+        let mut tiers = vec![Tier::Portable];
+        #[cfg(target_arch = "x86_64")]
+        {
+            if sse::available() {
+                tiers.push(Tier::Sse41);
+            }
+            if avx2::available() {
+                tiers.push(Tier::Avx2);
+            }
+        }
+        tiers
+    }
 }
 
 /// One bit's eight u16 lanes: frames 0..4 in word 0, frames 4..8 in word
@@ -101,9 +162,11 @@ fn with_u16(mut w: Wide, f: usize, v: u16) -> Wide {
 /// [`FixedConfig`] — same hard decisions, same iteration counts, whichever
 /// lane a frame lands in — which the conformance and golden suites pin.
 ///
-/// On `x86_64` hosts with SSE4.1 (detected at runtime) the pass and the
-/// lane load run on 128-bit vector instructions; the results are
-/// identical bit for bit.
+/// On `x86_64` the pass and the lane load run on the widest vector tier
+/// the CPU has, detected once at construction: AVX2 (four edges per
+/// 256-bit op), else SSE4.1 (two per 128-bit op), else the portable SWAR
+/// words. The results are identical bit for bit
+/// ([`simd_tier`](Self::simd_tier) names the tier).
 ///
 /// # Example
 ///
@@ -143,6 +206,8 @@ pub struct PackedFixedDecoder {
     unsat: u64,
     /// Edge passes run since construction.
     passes: u64,
+    /// The instruction set the pass and the lane load run on.
+    tier: Tier,
 }
 
 /// A frame in flight: its index in the stream and its progress.
@@ -211,6 +276,7 @@ impl PackedFixedDecoder {
             hard_mask: vec![0; n],
             unsat: 0,
             passes: 0,
+            tier: Tier::detect(),
             code,
         }
     }
@@ -232,18 +298,33 @@ impl PackedFixedDecoder {
         self.passes
     }
 
-    /// Whether the 128-bit SSE4.1 mirror runs: the build targets
-    /// `x86_64` **and** the running CPU supports SSE4.1. When `false`
-    /// the portable SWAR kernels run; the results are identical either
-    /// way.
+    /// Whether a vector tier runs: the build targets `x86_64` **and**
+    /// the running CPU supports SSE4.1 (see
+    /// [`simd_tier`](Self::simd_tier)). When `false` the portable SWAR
+    /// kernels run; the results are identical either way.
     pub fn simd_active() -> bool {
-        #[cfg(target_arch = "x86_64")]
-        {
-            sse::available()
-        }
-        #[cfg(not(target_arch = "x86_64"))]
-        {
-            false
+        Tier::detect() != Tier::Portable
+    }
+
+    /// The instruction set a decoder built on this host runs its edge
+    /// pass and lane load on: `"avx2"` (four edges per op), `"sse4.1"`
+    /// (two) or `"portable"` (SWAR words), the widest the CPU supports.
+    /// The results are identical on every tier.
+    pub fn simd_tier() -> &'static str {
+        Tier::detect().name()
+    }
+
+    /// A decoder whose pass runs on `tier`, which must be one of
+    /// [`Tier::available`].
+    #[cfg(test)]
+    fn with_tier(code: Arc<LdpcCode>, config: FixedConfig, tier: Tier) -> Self {
+        assert!(
+            Tier::available().contains(&tier),
+            "{tier:?} not on this CPU"
+        );
+        Self {
+            tier,
+            ..Self::new(code, config)
         }
     }
 
@@ -398,9 +479,9 @@ impl PackedFixedDecoder {
     }
 
     /// Loads each `(lane, frame)` pair: quantizes the frames straight
-    /// into their lanes of the channel and total planes (one vector pass
-    /// over the planes for all of them on the SSE4.1 path, the portable
-    /// loop for the rest). The quantizer's output is in range by
+    /// into their lanes of the channel and total planes (one pass over
+    /// the planes for all of them on a vector tier, the portable loop
+    /// for the bits it leaves). The quantizer's output is in range by
     /// construction, so unlike the `i16` door this needs no range scan.
     fn load_llrs(&mut self, frames: &[(usize, &[f32])]) {
         let n = self.code.n();
@@ -410,10 +491,13 @@ impl PackedFixedDecoder {
                 .all(|&(f, llrs)| f < PACK_LANES && llrs.len() == n),
             "lane or frame length out of range"
         );
-        #[cfg(target_arch = "x86_64")]
-        let first = self.load_llrs_sse(frames);
-        #[cfg(not(target_arch = "x86_64"))]
-        let first = 0;
+        let first = match self.tier {
+            Tier::Portable => 0,
+            #[cfg(target_arch = "x86_64")]
+            Tier::Sse41 => self.load_llrs_sse(frames),
+            #[cfg(target_arch = "x86_64")]
+            Tier::Avx2 => self.load_llrs_avx2(frames),
+        };
         let quantizer = self.quantizer;
         for &(f, llrs) in frames {
             self.load_lane(f, first, |b| quantizer.quantize(llrs[b]));
@@ -448,18 +532,23 @@ impl PackedFixedDecoder {
         }
     }
 
-    /// One iteration of all 8 lanes: the edge pass (SSE4.1 where the CPU
-    /// has it) and the syndrome of the `active` lanes (a byte mask).
+    /// One iteration of all 8 lanes: the edge pass on the decoder's
+    /// tier and the syndrome of the `active` lanes (a byte mask).
     fn iterate(&mut self, active: u64) {
         self.passes += 1;
-        #[cfg(target_arch = "x86_64")]
-        let done = self.simd_pass();
-        #[cfg(not(target_arch = "x86_64"))]
-        let done = false;
-        if !done {
-            self.pass();
-        }
+        self.edge_pass();
         self.syndrome_pass(active);
+    }
+
+    /// The edge pass on the decoder's tier.
+    fn edge_pass(&mut self) {
+        match self.tier {
+            Tier::Portable => self.pass(),
+            #[cfg(target_arch = "x86_64")]
+            Tier::Sse41 => self.pass_sse41(),
+            #[cfg(target_arch = "x86_64")]
+            Tier::Avx2 => self.pass_avx2(),
+        }
     }
 
     /// The edge pass, all 8 lanes per word op: the accumulator preset to
@@ -913,9 +1002,9 @@ mod tests {
         out
     }
 
-    /// Streams `llrs` through `decode_stream` and checks every frame
-    /// against a reused scalar decoder, and that `done` fires exactly
-    /// once per pulled frame.
+    /// Streams `llrs` through `decode_stream` on every tier the CPU has
+    /// and checks every frame against a reused scalar decoder, and that
+    /// `done` fires exactly once per pulled frame.
     fn assert_stream_matches_scalar(
         code: &Arc<LdpcCode>,
         cfg: FixedConfig,
@@ -926,31 +1015,37 @@ mod tests {
         use crate::decoder::Decoder;
         let n = code.n();
         let frames = llrs.len() / n;
-        let mut packed = PackedFixedDecoder::new(code.clone(), cfg);
         let mut scalar = FixedDecoder::new(code.clone(), cfg);
-        let mut source = llrs.chunks_exact(n);
-        let mut pulled = 0usize;
-        let mut got: Vec<Option<DecodeResult>> = vec![None; frames];
-        packed.decode_stream(
-            iters,
-            &mut |buf| match source.next() {
-                Some(frame) => {
-                    buf.extend_from_slice(frame);
-                    pulled += 1;
-                    true
-                }
-                None => false,
-            },
-            &mut |i, result| {
-                let slot = &mut got[i as usize];
-                assert!(slot.is_none(), "{label}: frame {i} emitted twice");
-                *slot = Some(result);
-            },
-        );
-        assert_eq!(pulled, frames, "{label}");
-        for (f, out) in got.into_iter().enumerate() {
-            let want = scalar.decode(&llrs[f * n..(f + 1) * n], iters);
-            assert_eq!(out.as_ref(), Some(&want), "{label}: frame {f}");
+        let want: Vec<DecodeResult> = llrs
+            .chunks_exact(n)
+            .map(|frame| scalar.decode(frame, iters))
+            .collect();
+        for tier in Tier::available() {
+            let label = format!("{label} ({})", tier.name());
+            let mut packed = PackedFixedDecoder::with_tier(code.clone(), cfg, tier);
+            let mut source = llrs.chunks_exact(n);
+            let mut pulled = 0usize;
+            let mut got: Vec<Option<DecodeResult>> = vec![None; frames];
+            packed.decode_stream(
+                iters,
+                &mut |buf| match source.next() {
+                    Some(frame) => {
+                        buf.extend_from_slice(frame);
+                        pulled += 1;
+                        true
+                    }
+                    None => false,
+                },
+                &mut |i, result| {
+                    let slot = &mut got[i as usize];
+                    assert!(slot.is_none(), "{label}: frame {i} emitted twice");
+                    *slot = Some(result);
+                },
+            );
+            assert_eq!(pulled, frames, "{label}");
+            for (f, (out, want)) in got.into_iter().zip(&want).enumerate() {
+                assert_eq!(out.as_ref(), Some(want), "{label}: frame {f}");
+            }
         }
     }
 
@@ -1044,15 +1139,39 @@ mod tests {
         }
     }
 
-    /// The SSE4.1 mirror against the portable SWAR path from identical
+    /// A code whose check degrees leave every remainder mod 4 (2, 3, 5,
+    /// 6, 7, 9, 10, 13, 17, 21), over 24 bits: row `r` of degree `d`
+    /// takes columns `3r + 5i mod 24`, `i < d`.
+    fn mixed_degree_code() -> Arc<LdpcCode> {
+        let degrees = [5, 9, 2, 13, 5, 3, 6, 7, 17, 5, 10, 21];
+        let rows = degrees
+            .iter()
+            .enumerate()
+            .map(|(r, &d)| {
+                let mut row: Vec<u32> = (0..d).map(|i| ((3 * r + 5 * i) % 24) as u32).collect();
+                row.sort_unstable();
+                row
+            })
+            .collect();
+        let h = gf2::SparseMatrix::from_rows(24, rows);
+        LdpcCode::from_parity_check("mixed degrees (24)", h).expect("every column is covered")
+    }
+
+    /// Every vector tier against the portable SWAR path from identical
     /// state: the `f32` lane load (every lane, on top of stale state) and
     /// then the edge pass, comparing every state plane after every load
-    /// and every pass — including passes right after lanes refill.
-    #[cfg(target_arch = "x86_64")]
+    /// and every pass — including passes right after lanes refill. The
+    /// codes' check degrees leave every remainder mod 4 (demo 16, C2 32,
+    /// AR4JA r=1/2 3 and 6, and [`mixed_degree_code`]), so the AVX2
+    /// tier's quad, pair and odd-edge steps all run.
     #[test]
-    fn sse_mirror_matches_portable_swar_words() {
-        if !PackedFixedDecoder::simd_active() {
-            println!("note: no SSE4.1 on this host; SSE mirror not checked");
+    fn every_tier_matches_portable_swar_planes() {
+        let tiers: Vec<Tier> = Tier::available()
+            .into_iter()
+            .filter(|&t| t != Tier::Portable)
+            .collect();
+        if tiers.is_empty() {
+            println!("note: no vector tier on this host; nothing to compare");
             return;
         }
         let planes = |d: &PackedFixedDecoder| {
@@ -1065,7 +1184,18 @@ mod tests {
                 d.hard_mask.clone(),
             )
         };
-        for code in [demo_code(), crate::codes::ccsds_c2::code()] {
+        let ar4ja =
+            crate::codes::ar4ja::Ar4jaCode::build(crate::codes::ar4ja::Ar4jaRate::Half, 16, 5);
+        let codes = [
+            demo_code(),
+            crate::codes::ccsds_c2::code(),
+            ar4ja.code().clone(),
+            mixed_degree_code(),
+        ];
+        for (tier, code) in tiers
+            .iter()
+            .flat_map(|&t| codes.iter().map(move |c| (t, c)))
+        {
             let n = code.n();
             for scaling in [
                 Scaling::Unity,
@@ -1078,7 +1208,10 @@ mod tests {
                         .with_scaling(scaling)
                         .with_q_msg(q_msg)
                         .with_q_ch(q_ch);
-                    let label = format!("n={n} {scaling:?} q_msg={q_msg} q_ch={q_ch}");
+                    let label = format!(
+                        "{} n={n} {scaling:?} q_msg={q_msg} q_ch={q_ch}",
+                        tier.name()
+                    );
                     let q = cfg.channel_quantizer();
                     let top = f32::from(q.max_level()) * q.step();
                     let mut rng = StdRng::seed_from_u64(u64::from(q_msg * 16 + q_ch));
@@ -1096,96 +1229,180 @@ mod tests {
                         })
                         .collect();
                     let frame = |i: usize| &llrs[i * n..(i + 1) * n];
-                    let mut swar = PackedFixedDecoder::new(code.clone(), cfg);
-                    let mut sse = PackedFixedDecoder::new(code.clone(), cfg);
-                    // Loads frames `(lane, frame index)`: one vector call
-                    // plus the portable tail, or the portable loop alone.
-                    let load =
-                        |dec: &mut PackedFixedDecoder, batch: &[(usize, usize)], vector: bool| {
-                            let frames: Vec<(usize, &[f32])> =
-                                batch.iter().map(|&(f, i)| (f, frame(i))).collect();
-                            let first = if vector {
-                                let done = dec.load_llrs_sse(&frames);
-                                assert_eq!(done, n - n % 16, "{label}");
-                                done
-                            } else {
-                                0
-                            };
-                            for &(f, llrs) in &frames {
-                                dec.load_lane(f, first, |b| q.quantize(llrs[b]));
-                            }
-                        };
+                    let mut swar = PackedFixedDecoder::with_tier(code.clone(), cfg, Tier::Portable);
+                    let mut simd = PackedFixedDecoder::with_tier(code.clone(), cfg, tier);
+                    // Loads frames `(lane, frame index)` on the decoder's
+                    // tier.
+                    let load = |dec: &mut PackedFixedDecoder, batch: &[(usize, usize)]| {
+                        let frames: Vec<(usize, &[f32])> =
+                            batch.iter().map(|&(f, i)| (f, frame(i))).collect();
+                        dec.load_llrs(&frames);
+                    };
                     // Lane by lane over the fresh state, then all 8 at once
                     // over stale lanes.
                     for f in 0..PACK_LANES {
-                        load(&mut swar, &[(f, f)], false);
-                        load(&mut sse, &[(f, f)], true);
-                        assert_eq!(planes(&sse), planes(&swar), "{label}: load lane {f}");
+                        load(&mut swar, &[(f, f)]);
+                        load(&mut simd, &[(f, f)]);
+                        assert_eq!(planes(&simd), planes(&swar), "{label}: load lane {f}");
                     }
                     let word: Vec<(usize, usize)> = (0..PACK_LANES).map(|f| (f, 7 - f)).collect();
-                    load(&mut swar, &word, false);
-                    load(&mut sse, &word, true);
-                    assert_eq!(planes(&sse), planes(&swar), "{label}: load word");
+                    load(&mut swar, &word);
+                    load(&mut simd, &word);
+                    assert_eq!(planes(&simd), planes(&swar), "{label}: load word");
                     // Refills after passes 2 and 4: one lane, then three.
                     let refills: [&[(usize, usize)]; 6] =
                         [&[], &[], &[(3, 8)], &[], &[(0, 9), (5, 10), (7, 11)], &[]];
                     for (it, &batch) in refills.iter().enumerate() {
-                        load(&mut swar, batch, false);
-                        load(&mut sse, batch, true);
-                        assert_eq!(planes(&sse), planes(&swar), "{label}: before pass {it}");
-                        swar.pass();
-                        assert!(sse.simd_pass());
-                        assert_eq!(planes(&sse), planes(&swar), "{label}: after pass {it}");
+                        load(&mut swar, batch);
+                        load(&mut simd, batch);
+                        assert_eq!(planes(&simd), planes(&swar), "{label}: before pass {it}");
+                        swar.edge_pass();
+                        simd.edge_pass();
+                        assert_eq!(planes(&simd), planes(&swar), "{label}: after pass {it}");
                     }
                 }
             }
         }
     }
 
+    /// The default tier is the widest the CPU has, and names itself.
     #[test]
-    #[ignore = "manual profiling aid: run with --release --nocapture"]
+    fn default_tier_is_the_widest_available() {
+        let widest = *Tier::available().last().expect("portable is always there");
+        let dec = PackedFixedDecoder::new(demo_code(), FixedConfig::default());
+        assert_eq!(dec.tier, widest);
+        assert_eq!(PackedFixedDecoder::simd_tier(), widest.name());
+        assert_eq!(PackedFixedDecoder::simd_active(), widest != Tier::Portable);
+    }
+
+    /// `frames` all-zero BPSK frames of `code` over AWGN at `ebn0_db`, as
+    /// channel LLRs `2y/σ²` (Box–Muller noise), stored back to back.
+    fn awgn_frames(code: &LdpcCode, frames: usize, ebn0_db: f64, seed: u64) -> Vec<f32> {
+        let rate = code.dimension() as f64 / code.n() as f64;
+        let sigma2 = 1.0 / (2.0 * rate * 10f64.powf(ebn0_db / 10.0));
+        let mut rng = StdRng::seed_from_u64(seed);
+        (0..frames * code.n())
+            .map(|_| {
+                let u1: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
+                let u2: f64 = rng.gen_range(0.0..1.0);
+                let z = (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos();
+                (2.0 * (1.0 + sigma2.sqrt() * z) / sigma2) as f32
+            })
+            .collect()
+    }
+
+    /// Stage attribution on C2, per tier. Shared hosts are noisy, so
+    /// every timing is the best of several runs taken round-robin across
+    /// the tiers. First each stage alone: the edge pass and the 1- and
+    /// 8-lane loads on every tier the CPU has, the syndrome and hard-bit
+    /// extraction. Then 512 frames streamed in 32-frame chunks (18
+    /// iterations, early stop) at 3, 3.5, 4 and 7 dB on each vector tier,
+    /// per frame: wall time, edge pass (passes × the tier's pass time),
+    /// lane load (timed in the fill), hard bits, and the rest (syndrome
+    /// and stream bookkeeping).
+    #[test]
+    #[ignore = "manual profiling aid: run with --release -- --ignored --nocapture"]
     fn profile_phase_split() {
+        use std::time::{Duration, Instant};
         let code = crate::codes::ccsds_c2::code();
         let n = code.n();
-        let mut dec = PackedFixedDecoder::new(code.clone(), FixedConfig::default());
         let ch = mixed_batch(&code, 8, 99);
         // The same batch through the f32 door the engine and server call.
         let llrs: Vec<f32> = ch.iter().map(|&c| f32::from(c) * 0.5).collect();
-        let _ = dec.decode_batch(&llrs, 2); // warm buffers
-        let reps = 200u32;
-        let time = |label: &str, f: &mut dyn FnMut()| {
-            let start = std::time::Instant::now();
-            for _ in 0..reps {
-                f();
-            }
-            let per = start.elapsed() / reps;
-            println!("  {label}: {per:?}/iter");
-            per
-        };
-        time("full decode  ", &mut || {
-            let _ = dec.decode_quantized_batch(&ch, 18);
-        });
-        time("f32 door 1 it", &mut || {
-            let _ = dec.decode_batch(&llrs, 1);
-        });
-        #[cfg(target_arch = "x86_64")]
-        if PackedFixedDecoder::simd_active() {
-            time("pass (sse)   ", &mut || {
-                let _ = dec.simd_pass();
-            });
-        }
-        time("pass (swar)  ", &mut || dec.pass());
-        time("syndrome     ", &mut || dec.syndrome_pass(!0));
-        time("refill 1 lane", &mut || {
-            dec.load_llrs(&[(3, &llrs[3 * n..4 * n])])
-        });
         let word: Vec<(usize, &[f32])> = llrs.chunks_exact(n).enumerate().collect();
-        time("refill 8     ", &mut || dec.load_llrs(&word));
-        time("hard bits x8 ", &mut || {
+        let tiers = Tier::available();
+        let mut decs: Vec<PackedFixedDecoder> = tiers
+            .iter()
+            .map(|&tier| {
+                let mut dec =
+                    PackedFixedDecoder::with_tier(code.clone(), FixedConfig::default(), tier);
+                let _ = dec.decode_batch(&llrs, 2); // warm buffers
+                dec
+            })
+            .collect();
+        // Per decoder, the best of 15 batches of 10 calls.
+        let best = |decs: &mut [PackedFixedDecoder], f: &dyn Fn(&mut PackedFixedDecoder)| {
+            let mut best = vec![Duration::MAX; decs.len()];
+            for _ in 0..15 {
+                for (dec, best) in decs.iter_mut().zip(&mut best) {
+                    let start = Instant::now();
+                    for _ in 0..10 {
+                        f(dec);
+                    }
+                    *best = (*best).min(start.elapsed() / 10);
+                }
+            }
+            best
+        };
+        let pass = best(&mut decs, &|dec| dec.edge_pass());
+        let load1 = best(&mut decs, &|dec| dec.load_llrs(&[(3, &llrs[3 * n..4 * n])]));
+        let load8 = best(&mut decs, &|dec| dec.load_llrs(&word));
+        for (i, tier) in tiers.iter().enumerate() {
+            println!(
+                "  {:<8}: pass {:?}, load 1 lane {:?}, load 8 lanes {:?}",
+                tier.name(),
+                pass[i],
+                load1[i],
+                load8[i]
+            );
+        }
+        let syndrome = best(&mut decs[..1], &|dec| dec.syndrome_pass(!0))[0];
+        let hard8 = best(&mut decs[..1], &|dec| {
             for f in 0..PACK_LANES {
                 std::hint::black_box(dec.hard_decision(f));
             }
-        });
+        })[0];
+        println!("  syndrome: {syndrome:?}, hard bits x8: {hard8:?}");
+        let frames = 512;
+        let vector: Vec<usize> = (0..tiers.len())
+            .filter(|&i| tiers[i] != Tier::Portable)
+            .collect();
+        let run = |tier: Tier, all: &[f32]| {
+            let mut dec = PackedFixedDecoder::with_tier(code.clone(), FixedConfig::default(), tier);
+            let mut load = Duration::ZERO;
+            let start = Instant::now();
+            for chunk in all.chunks(32 * n) {
+                let mut source = chunk.chunks_exact(n);
+                dec.stream(
+                    18,
+                    &mut |dec, lanes| {
+                        let t0 = Instant::now();
+                        let batch: Vec<(usize, &[f32])> =
+                            lanes.iter().copied().zip(&mut source).collect();
+                        dec.load_llrs(&batch);
+                        load += t0.elapsed();
+                        batch.len()
+                    },
+                    &mut |_, r| {
+                        std::hint::black_box(r);
+                    },
+                );
+            }
+            (start.elapsed(), load, dec.passes())
+        };
+        println!("  stream, {frames} frames in 32-frame chunks (best of 5), us per frame:");
+        println!("  tier      Eb/N0   wall   pass   load   hard   rest  passes/frame");
+        for ebn0 in [3.0, 3.5, 4.0, 7.0] {
+            let all = awgn_frames(&code, frames, ebn0, 17);
+            let mut runs = vec![(Duration::MAX, Duration::ZERO, 0); vector.len()];
+            for _ in 0..5 {
+                for (best, &i) in runs.iter_mut().zip(&vector) {
+                    *best = (*best).min(run(tiers[i], &all));
+                }
+            }
+            for (&(wall, load, passes), &i) in runs.iter().zip(&vector) {
+                let us = |d: Duration| d.as_secs_f64() * 1e6 / frames as f64;
+                let passes = passes as f64 / frames as f64;
+                let (wall, load) = (us(wall), us(load));
+                let pass = pass[i].as_secs_f64() * 1e6 * passes;
+                let hard = us(hard8 / 8 * frames as u32);
+                println!(
+                    "  {:<8} {ebn0:>5.1} {wall:>6.1} {pass:>6.1} {load:>6.1} {hard:>6.1} {:>6.1}  {passes:.3}",
+                    tiers[i].name(),
+                    wall - pass - load - hard
+                );
+            }
+        }
     }
 
     #[test]

@@ -207,7 +207,7 @@ impl Decoder for PeelingDecoder {
             remaining = 0;
             iterations += 1;
         }
-        let converged = remaining == 0 && graph.syndrome_ok(&self.hard);
+        let converged = max_iterations > 0 && remaining == 0 && graph.syndrome_ok(&self.hard);
         DecodeResult {
             hard_decision: BitVec::from_bits(&self.hard),
             iterations,

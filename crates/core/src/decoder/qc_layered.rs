@@ -12,7 +12,7 @@
 //! is the software image of the paper's conflict-free banked memory
 //! layout (one bank per block, rotate-indexed addressing).
 
-use crate::decoder::{DecodeResult, Decoder};
+use crate::decoder::{channel_hard_decision, DecodeResult, Decoder};
 use crate::LdpcCode;
 use gf2::BitVec;
 use std::sync::Arc;
@@ -159,6 +159,7 @@ impl Decoder for QcLayeredDecoder {
             "channel LLR length mismatch"
         );
         self.app.copy_from_slice(channel_llrs);
+        channel_hard_decision(&mut self.hard, channel_llrs);
         self.cb.iter_mut().for_each(|m| *m = 0.0);
         let l = self.l;
         let inv_alpha = 1.0 / self.alpha;

@@ -8,7 +8,7 @@
 //! cost (one sign register per edge) — a natural extension of the paper's
 //! datapath and part of the ablation set.
 
-use crate::decoder::{DecodeResult, Decoder};
+use crate::decoder::{channel_hard_decision, DecodeResult, Decoder};
 use crate::LdpcCode;
 use gf2::BitVec;
 use std::sync::Arc;
@@ -143,6 +143,7 @@ impl Decoder for SelfCorrectedMinSumDecoder {
             self.bc[e] = channel_llrs[graph.edge_bit(e)];
             self.prev_sign[e] = 0;
         }
+        channel_hard_decision(&mut self.hard, channel_llrs);
         let mut iterations = 0;
         let mut converged = false;
         for _ in 0..max_iterations {

@@ -1,6 +1,6 @@
 //! Floating-point sum-product (belief propagation) decoder.
 
-use crate::decoder::{DecodeResult, Decoder};
+use crate::decoder::{channel_hard_decision, DecodeResult, Decoder};
 use crate::LdpcCode;
 use gf2::BitVec;
 use std::sync::Arc;
@@ -133,6 +133,7 @@ impl Decoder for SumProductDecoder {
         for e in 0..graph.n_edges() {
             self.bc[e] = channel_llrs[graph.edge_bit(e)].clamp(-LLR_CLAMP, LLR_CLAMP);
         }
+        channel_hard_decision(&mut self.hard, channel_llrs);
         let mut iterations = 0;
         let mut converged = false;
         for _ in 0..max_iterations {

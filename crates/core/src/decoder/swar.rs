@@ -24,11 +24,11 @@
 //!   boundary) that the decoder's quantized messages guarantee, and
 //!   spend fewer ops by letting the sign bit absorb borrows.
 //!
-//! On `x86_64` builds the packed decoder runs a `core::arch` SSE4.1
-//! mirror of the composed pass instead whenever the CPU supports it
-//! (runtime feature-detected, same results bit for bit); these portable
-//! kernels remain the reference, the fallback on hosts without SSE4.1,
-//! and the only path on other architectures.
+//! On `x86_64` builds the packed decoder runs a `core::arch` AVX2 or
+//! SSE4.1 tier of the composed pass instead whenever the CPU supports
+//! it (runtime feature-detected, same results bit for bit); these
+//! portable kernels remain the reference, the fallback on hosts without
+//! SSE4.1, and the only path on other architectures.
 
 use crate::decoder::kernels::Scaling;
 

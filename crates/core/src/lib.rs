@@ -33,9 +33,10 @@
 //! assert!(out.hard_decision.is_zero());
 //! ```
 
-// The crate is `unsafe`-free except for the x86_64 SSE4.1 mirror of
-// the packed SWAR datapath (`decoder/packed/sse.rs`), whose intrinsics
-// module carries the one scoped `allow` — hence `deny`, not `forbid`.
+// The crate is `unsafe`-free except for the x86_64 vector tiers of the
+// packed SWAR datapath (`decoder/packed/sse.rs` and `avx2.rs`), whose
+// intrinsics modules carry the only scoped `allow`s — hence `deny`,
+// not `forbid`.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 

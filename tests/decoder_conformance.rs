@@ -12,6 +12,8 @@
 //! 2. **Documented bit-exact pairs** — the batched decoders against their
 //!    per-frame counterparts, and the bit-sliced Gallager-B against the
 //!    scalar one, must agree bit for bit, frame by frame.
+//! 3. **Zero budget** — at 0 iterations every family returns the
+//!    channel hard decision, 0 iterations, not converged.
 //!
 //! Every family is additionally checked to be deterministic (same corpus
 //! twice → same results), which is what makes the golden vectors in
@@ -356,6 +358,50 @@ fn starved_budget_still_sound() {
                     "{spec}: success on non-codeword at budget 1"
                 );
             }
+        }
+    }
+}
+
+/// Zero iterations mean one thing in every family: the channel hard
+/// decision (bit 1 where the LLR is negative; exact zeros stay at 0),
+/// 0 iterations, not converged — whatever the decoder decoded before.
+/// Each family first decodes the corpus's clean end, then the noisy end
+/// (plus an all-zero-LLR frame and a clean frame) at budget 0. The noisy
+/// LLRs keep their signs but sit at least one quantizer level from 0,
+/// or exactly at 0, so the fixed-point families' quantized channel
+/// decides alike.
+#[test]
+fn zero_iterations_return_the_channel_decision_in_every_family() {
+    let code = demo_code();
+    let n = code.n();
+    let llrs = corpus();
+    let (clean, noisy) = llrs.split_at(32 * n);
+    let mut frames: Vec<f32> = noisy
+        .iter()
+        .enumerate()
+        .map(|(i, &l)| {
+            if i % 7 == 0 {
+                0.0
+            } else {
+                l.signum() * l.abs().max(1.0)
+            }
+        })
+        .collect();
+    frames.extend(std::iter::repeat_n(0.0f32, n));
+    frames.extend_from_slice(&clean[..n]);
+    for (spec, mut decoder) in all_families() {
+        let _ = decoder.decode_block(clean, MAX_ITERATIONS);
+        let got = decoder.decode_block(&frames, 0);
+        assert_eq!(got.len(), frames.len() / n, "{spec}: result count");
+        for (f, (r, frame)) in got.iter().zip(frames.chunks_exact(n)).enumerate() {
+            let bits: Vec<u8> = frame.iter().map(|&l| u8::from(l < 0.0)).collect();
+            assert_eq!(
+                r.hard_decision,
+                BitVec::from_bits(&bits),
+                "{spec}: frame {f} is not its channel decision"
+            );
+            assert_eq!(r.iterations, 0, "{spec}: frame {f} iterations");
+            assert!(!r.converged, "{spec}: frame {f} converged at 0 iterations");
         }
     }
 }

@@ -29,7 +29,7 @@ pub const COMMANDS: &[CommandOptions] = &[
     ("sweep", &["decoders", "codes", "channels", "demo", "c2", "ebn0s", "ebn0", "frames",
                 "iters", "threads", "seed", "target-errors", "chunk-frames", "resume",
                 "cache-dir", "json"]),
-    ("serve", &["port", "addr", "max-wait-us", "workers", "iters", "queue-frames"]),
+    ("serve", &["port", "addr", "workers", "iters", "queue-frames"]),
     ("plan", &["mbps", "iters", "clock"]),
     ("tables", &[]),
 ];
@@ -92,16 +92,17 @@ COMMANDS:
                             results (the BENCH_SWEEP.json format)
                             simulate and sweep print the same bytes for
                             any --threads value and cache state
-  serve [--port N | --addr HOST:PORT] [--max-wait-us N] [--workers N]
-        [--iters N] [--queue-frames N]
+  serve [--port N | --addr HOST:PORT] [--workers N] [--iters N]
+        [--queue-frames N]
                             decode-as-a-service: newline-delimited TCP
                             protocol (see docs/scenarios.md recipe 12)
                             coalescing concurrent clients' frames into
-                            full @pack/@batch/@bitslice words; a frame
-                            waits at most --max-wait-us (default 500)
-                            for word-mates. Drains gracefully on ctrl-c
-                            / SIGTERM / a SHUTDOWN request. Default
-                            127.0.0.1:7878
+                            @pack/@batch/@bitslice words with no batching
+                            timer: an idle worker claims whatever a key
+                            has queued, up to a full word, so a lone
+                            frame decodes at once. Drains gracefully
+                            on ctrl-c / SIGTERM / a SHUTDOWN request.
+                            Default 127.0.0.1:7878
   plan --mbps X [--iters N] [--clock MHZ]
                             pick the cheapest architecture meeting a rate
   tables                    print the paper's Tables 1-3 from the models
@@ -516,7 +517,6 @@ fn cmd_serve(args: &ParsedArgs) -> Result<String, Box<dyn Error>> {
     };
     let cfg = ldpc_served::ServeConfig {
         addr: addr.clone(),
-        max_wait: std::time::Duration::from_micros(args.get_or("max-wait-us", 500u64)?),
         workers: args.get_or("workers", 0usize)?,
         max_iterations: args.get_or("iters", 18u32)?,
         queue_frames: args.get_or("queue-frames", 1024usize)?,
@@ -643,8 +643,12 @@ mod tests {
         ]))
         .unwrap_err();
         assert!(err.to_string().contains("conflicts"), "{err}");
-        let err = run(&parsed(&["serve", "--max-wait-us", "soon"])).unwrap_err();
-        assert!(err.to_string().contains("invalid value"), "{err}");
+        // `serve` has no batching timer, so there is no wait to set.
+        let err = try_run(&["serve", "--max-wait-us", "500"]).unwrap_err();
+        assert!(
+            err.to_string().contains("unknown option --max-wait-us"),
+            "{err}"
+        );
         let err = run(&parsed(&["serve", "--port", "notaport"])).unwrap_err();
         assert!(err.to_string().contains("invalid value"), "{err}");
     }

@@ -4,7 +4,7 @@
 //! ldpc-tool info
 //! ldpc-tool encode --random --seed 7
 //! ldpc-tool simulate --c2 --ebn0 4.0 --frames 100
-//! ldpc-tool serve --port 7878 --max-wait-us 500
+//! ldpc-tool serve --port 7878
 //! ldpc-tool plan --mbps 560
 //! ldpc-tool tables
 //! ```

@@ -1,5 +1,5 @@
-//! The adaptive frame coalescer: per-(code, decoder) queues that trade
-//! a bounded wait for full packed words.
+//! The frame coalescer: per-(code, decoder) queues that a worker pool
+//! claims a word at a time, with no batching timer.
 //!
 //! Every decode request lands in the queue of its key — the canonical
 //! `"<code> / <decoder>"` rendering of its scenario. The channel part,
@@ -7,28 +7,25 @@
 //! `bsc:p`, `erasure:p`, `burst:…`, `@quant=B`, …) — an unknown channel
 //! is rejected with that grammar's own actionable error — but a valid
 //! channel does not enter the key: the server decodes what it is sent,
-//! it does not simulate a channel. A pool
-//! of worker threads watches the queues and dispatches a batch when
-//! either
+//! it does not simulate a channel. At most [`MAX_KEYS`] keys exist per
+//! server; a request for one more is refused.
 //!
-//! * a queue holds a full word — `block_frames()` of the key's decoder:
-//!   8 for `@pack=8`/`@batch=8`, 64 for `@bitslice`, 1 for scalar
-//!   specs — or
-//! * the oldest queued frame has waited the configured latency budget
-//!   (`max_wait`), in which case a partial word ships (the engine's
-//!   partial-block path is lane-exact against scalar decoding), or
-//! * the server is draining for shutdown, in which case everything
-//!   queued ships immediately.
-//!
-//! This is the software analogue of the paper's 8-frames-in-flight
-//! datapath: a packed decode costs the same wall clock whether 1 or 8
-//! lanes carry real frames, so throughput scales with fill, and fill
-//! comes from *independent* concurrent clients. One connection decoding
-//! alone degrades gracefully to batch-of-1 at `max_wait` latency.
+//! A worker sleeps only while every queue is empty (or the server has
+//! drained and is stopping). Otherwise it claims the key whose front
+//! frame has waited longest — first-come first-served across keys — and
+//! takes whatever that key has queued, up to a full word:
+//! `block_frames()` of the key's decoder, 8 for `@pack=8`/`@batch=8`,
+//! 64 for `@bitslice`, 1 for scalar specs. A lone frame is therefore
+//! decoded at once in a one-frame word (the engines' partial-word path
+//! is lane-exact against scalar decoding), and under load the queues
+//! hold a word's worth by the time a worker frees up, so the words run
+//! full — the software analogue of the paper's 8-frames-in-flight
+//! datapath, with fill coming from *independent* concurrent clients.
 //!
 //! Queues are bounded (`queue_frames` per key): when full, the enqueue
 //! reports backpressure and the connection answers `BUSY` with a
-//! retry-after hint instead of letting latency grow without bound.
+//! retry-after hint — the words queued ahead times the measured median
+//! word decode time — instead of letting latency grow without bound.
 //!
 //! Decoder instances are *not* shared: [`BlockDecoder`] is stateful
 //! workspace and not `Send`, so each worker lazily builds and caches
@@ -42,7 +39,16 @@ use ldpc_sim::{Scenario, ScenarioError};
 use std::collections::{HashMap, VecDeque};
 use std::sync::mpsc::{Receiver, Sender};
 use std::sync::{Arc, Condvar, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Instant;
+
+/// Most distinct `code / decoder` keys one server holds. Each key keeps
+/// a code handle and, per worker, a decoder, so the map is capped rather
+/// than left to grow with every spec a client names.
+pub(crate) const MAX_KEYS: usize = 64;
+
+/// What a queued word costs in the `BUSY` hint before any decode has
+/// been measured: the finest latency bucket, 50 µs.
+const UNMEASURED_WORD_US: u64 = 50;
 
 /// One queued frame: its LLRs and the channel its reply travels back on.
 struct Job {
@@ -65,6 +71,10 @@ struct KeyEntry {
 struct State {
     keys: HashMap<String, KeyEntry>,
     shutting_down: bool,
+    /// Test hook: while set (and not draining), no word is claimed, so
+    /// queues can be filled deterministically.
+    #[cfg(test)]
+    held: bool,
 }
 
 /// A batch a worker has claimed: jobs plus the build recipe for the
@@ -96,12 +106,18 @@ pub(crate) enum KeyError {
     Parse(ScenarioError),
     /// The scenario parsed but its code could not be built.
     Build(ScenarioError),
+    /// The key is new and the server already holds [`MAX_KEYS`] keys.
+    TooManyKeys,
 }
 
 impl KeyError {
     pub(crate) fn message(&self) -> String {
         match self {
             Self::Parse(e) | Self::Build(e) => e.to_string(),
+            Self::TooManyKeys => format!(
+                "this server already serves {MAX_KEYS} distinct `code / decoder` keys, \
+                 its cap; send frames under a key already in use"
+            ),
         }
     }
 }
@@ -110,26 +126,21 @@ impl KeyError {
 pub(crate) struct Coalescer {
     state: Mutex<State>,
     work: Condvar,
-    max_wait: Duration,
     queue_frames: usize,
     max_iterations: u32,
     metrics: Arc<Metrics>,
 }
 
 impl Coalescer {
-    pub(crate) fn new(
-        max_wait: Duration,
-        queue_frames: usize,
-        max_iterations: u32,
-        metrics: Arc<Metrics>,
-    ) -> Self {
+    pub(crate) fn new(queue_frames: usize, max_iterations: u32, metrics: Arc<Metrics>) -> Self {
         Self {
             state: Mutex::new(State {
                 keys: HashMap::new(),
                 shutting_down: false,
+                #[cfg(test)]
+                held: false,
             }),
             work: Condvar::new(),
-            max_wait,
             queue_frames: queue_frames.max(1),
             max_iterations,
             metrics,
@@ -142,14 +153,24 @@ impl Coalescer {
     pub(crate) fn ensure_key(&self, spec: &str) -> Result<(String, usize), KeyError> {
         let scenario: Scenario = spec.parse().map_err(KeyError::Parse)?;
         let key = format!("{} / {}", scenario.code, scenario.decoder);
-        if let Some(entry) = self.state.lock().unwrap().keys.get(&key) {
-            return Ok((key, entry.n));
+        {
+            let st = self.state.lock().unwrap();
+            if let Some(entry) = st.keys.get(&key) {
+                return Ok((key, entry.n));
+            }
+            if st.keys.len() >= MAX_KEYS {
+                return Err(KeyError::TooManyKeys);
+            }
         }
         let handle = scenario.build_code().map_err(KeyError::Build)?;
         let probe = scenario.decoder.build(handle.code());
         let n = probe.n();
         let word = probe.block_frames();
         let mut st = self.state.lock().unwrap();
+        // Another connection may have filled the map while we built.
+        if !st.keys.contains_key(&key) && st.keys.len() >= MAX_KEYS {
+            return Err(KeyError::TooManyKeys);
+        }
         st.keys.entry(key.clone()).or_insert(KeyEntry {
             scenario,
             handle,
@@ -174,11 +195,7 @@ impl Coalescer {
         let entry = st.keys.get_mut(key).expect("enqueue on an ensured key");
         assert_eq!(entry.n, llrs.len(), "frame length mismatch");
         if entry.queue.len() >= self.queue_frames {
-            // Heuristic backoff: a couple of latency budgets from now
-            // the deadline dispatcher will have drained at least one
-            // word from this queue.
-            let retry_after_us =
-                u64::try_from(self.max_wait.as_micros()).unwrap_or(u64::MAX) * 2 + 500;
+            let retry_after_us = self.retry_after_us(entry.queue.len(), entry.word);
             self.metrics.record_rejected();
             return Enqueue::Busy { retry_after_us };
         }
@@ -189,15 +206,35 @@ impl Coalescer {
             reply: tx,
         });
         self.metrics.record_enqueued();
-        self.work.notify_all();
+        self.work.notify_one();
         Enqueue::Queued(rx)
     }
 
+    /// Backoff hint for a frame refused behind `queued` frames of a
+    /// `word`-wide key: the words queued ahead of it times the measured
+    /// median word decode time.
+    fn retry_after_us(&self, queued: usize, word: usize) -> u64 {
+        let words = u64::try_from(queued.div_ceil(word.max(1))).unwrap_or(u64::MAX);
+        let word_us = match self.metrics.decode_quantile_us(0.5) {
+            0 => UNMEASURED_WORD_US,
+            us => us,
+        };
+        words.saturating_mul(word_us)
+    }
+
     /// Starts the drain: no new frames are accepted, every queued frame
-    /// ships immediately, and workers exit once the queues are empty.
+    /// is still decoded, and workers exit once the queues are empty.
     /// Idempotent.
     pub(crate) fn begin_shutdown(&self) {
         self.state.lock().unwrap().shutting_down = true;
+        self.work.notify_all();
+    }
+
+    /// Test hook: while `held`, workers claim no word (until the drain
+    /// starts).
+    #[cfg(test)]
+    pub(crate) fn hold(&self, held: bool) {
+        self.state.lock().unwrap().held = held;
         self.work.notify_all();
     }
 
@@ -213,28 +250,17 @@ impl Coalescer {
         depths
     }
 
-    /// When the earliest queued frame must ship, if any frame is queued.
-    fn next_deadline(st: &State, max_wait: Duration) -> Option<Instant> {
-        st.keys
-            .values()
-            .filter_map(|e| e.queue.front())
-            .map(|j| j.enqueued + max_wait)
-            .min()
-    }
-
-    /// Claims the ripest batch, if any queue is ready to ship. Prefers
-    /// the queue whose front frame has waited longest.
-    fn take_batch(st: &mut State, now: Instant, max_wait: Duration) -> Option<Batch> {
-        let drain = st.shutting_down;
+    /// Claims up to a word of the key whose front frame has waited
+    /// longest, if any frame is queued.
+    fn take_batch(st: &mut State) -> Option<Batch> {
+        #[cfg(test)]
+        if st.held && !st.shutting_down {
+            return None;
+        }
         let key = st
             .keys
             .iter()
-            .filter(|(_, e)| {
-                let Some(front) = e.queue.front() else {
-                    return false;
-                };
-                e.queue.len() >= e.word || drain || now >= front.enqueued + max_wait
-            })
+            .filter(|(_, e)| !e.queue.is_empty())
             .min_by_key(|(_, e)| e.queue.front().map(|j| j.enqueued))
             .map(|(k, _)| k.clone())?;
         let entry = st.keys.get_mut(&key).unwrap();
@@ -248,30 +274,22 @@ impl Coalescer {
         })
     }
 
-    /// One worker: wait for a ripe batch, decode it through the cached
-    /// per-key decoder, reply per frame. Returns when the server is
-    /// draining and every queue is empty.
+    /// One worker: claim a word as soon as any frame is queued, decode
+    /// it through the cached per-key decoder, reply per frame. Returns
+    /// when the server is draining and every queue is empty.
     pub(crate) fn worker_loop(&self) {
         let mut decoders: HashMap<String, Box<dyn BlockDecoder>> = HashMap::new();
         loop {
             let batch = {
                 let mut st = self.state.lock().unwrap();
                 loop {
-                    let now = Instant::now();
-                    if let Some(b) = Self::take_batch(&mut st, now, self.max_wait) {
+                    if let Some(b) = Self::take_batch(&mut st) {
                         break Some(b);
                     }
                     if st.shutting_down {
                         break None;
                     }
-                    // Sleep until the earliest deadline or new work;
-                    // cap the wait so a shutdown begun while we hold no
-                    // deadline is still noticed promptly.
-                    let wait = Self::next_deadline(&st, self.max_wait)
-                        .map(|d| d.saturating_duration_since(now))
-                        .unwrap_or(Duration::from_millis(100))
-                        .clamp(Duration::from_micros(50), Duration::from_millis(100));
-                    st = self.work.wait_timeout(st, wait).unwrap().0;
+                    st = self.work.wait(st).unwrap();
                 }
             };
             let Some(batch) = batch else { return };
@@ -290,11 +308,13 @@ impl Coalescer {
             .entry(key)
             .or_insert_with(|| spec.build(handle.code()));
         let n = decoder.n();
+        let claimed = Instant::now();
         let mut llrs = Vec::with_capacity(jobs.len() * n);
         for job in &jobs {
             llrs.extend_from_slice(&job.llrs);
         }
         let results = decoder.decode_block(&llrs, self.max_iterations);
+        let decode = claimed.elapsed();
         self.metrics.record_batch(jobs.len());
         for (job, result) in jobs.into_iter().zip(results) {
             let frame = DecodedFrame {
@@ -303,8 +323,11 @@ impl Coalescer {
                 iterations: result.iterations,
                 converged: result.converged,
             };
-            self.metrics
-                .record_frame_done(job.enqueued.elapsed(), result.converged);
+            self.metrics.record_frame_done(
+                claimed.duration_since(job.enqueued),
+                decode,
+                result.converged,
+            );
             // A client that hung up mid-flight is not an error.
             let _ = job.reply.send(frame);
         }
@@ -315,14 +338,10 @@ impl Coalescer {
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicBool, Ordering};
+    use std::time::Duration;
 
-    fn coalescer(max_wait: Duration, queue_frames: usize) -> Arc<Coalescer> {
-        Arc::new(Coalescer::new(
-            max_wait,
-            queue_frames,
-            20,
-            Arc::new(Metrics::new()),
-        ))
+    fn coalescer(queue_frames: usize) -> Arc<Coalescer> {
+        Arc::new(Coalescer::new(queue_frames, 20, Arc::new(Metrics::new())))
     }
 
     /// Clean all-zero demo frames: every LLR votes hard for bit 0.
@@ -330,17 +349,19 @@ mod tests {
         vec![4.0; n]
     }
 
+    fn queued(c: &Coalescer, key: &str, llrs: Vec<f32>) -> Receiver<DecodedFrame> {
+        match c.enqueue(key, llrs) {
+            Enqueue::Queued(rx) => rx,
+            _ => panic!("queue refused a frame"),
+        }
+    }
+
     #[test]
     fn full_word_dispatches_without_waiting_for_the_deadline() {
-        // Deadline far away: only the full-word trigger can fire.
-        let c = coalescer(Duration::from_secs(30), 1024);
+        // Eight frames queued before the worker starts fill one word.
+        let c = coalescer(1024);
         let (key, n) = c.ensure_key("demo / fixed@pack=8").unwrap();
-        let receivers: Vec<_> = (0..8)
-            .map(|_| match c.enqueue(&key, clean_frame(n)) {
-                Enqueue::Queued(rx) => rx,
-                _ => panic!("queue refused a frame"),
-            })
-            .collect();
+        let receivers: Vec<_> = (0..8).map(|_| queued(&c, &key, clean_frame(n))).collect();
         std::thread::scope(|s| {
             let worker = {
                 let c = Arc::clone(&c);
@@ -360,38 +381,81 @@ mod tests {
     }
 
     #[test]
-    fn deadline_ships_a_partial_word() {
-        let c = coalescer(Duration::from_millis(30), 1024);
+    fn lone_frame_decodes_at_once() {
+        // No timer: one frame on an 8-lane key ships as a word of its
+        // own, well inside a generous bound, while the worker keeps
+        // running.
+        let c = coalescer(1024);
         let (key, n) = c.ensure_key("demo / fixed@pack=8").unwrap();
-        let Enqueue::Queued(rx) = c.enqueue(&key, clean_frame(n)) else {
-            panic!("queue refused a frame");
-        };
         std::thread::scope(|s| {
             let worker = {
                 let c = Arc::clone(&c);
                 s.spawn(move || c.worker_loop())
             };
+            let rx = queued(&c, &key, clean_frame(n));
             let frame = rx.recv_timeout(Duration::from_secs(10)).unwrap();
             assert!(frame.converged);
-            assert_eq!(c.metrics.batch_fill_count(1), 1, "partial word of 1");
+            assert_eq!(c.metrics.batches(), 1, "one word");
+            assert_eq!(c.metrics.batch_fill_count(1), 1, "of one frame");
             c.begin_shutdown();
             worker.join().unwrap();
         });
     }
 
     #[test]
+    fn oldest_frame_first_across_keys() {
+        // Queued b1, s1, a1, s2, a2 on two 8-frame keys (a, b) and the
+        // one-frame key s. Each claim goes to the key whose front frame
+        // has waited longest and takes up to a word of its queue, so a2
+        // ships with a1 ahead of the older s2.
+        let c = coalescer(1024);
+        let (a, n) = c.ensure_key("demo / fixed@pack=8").unwrap();
+        let (b, _) = c.ensure_key("demo / nms:1.25@batch=8").unwrap();
+        let (s, _) = c.ensure_key("demo / fixed").unwrap();
+        let queue_all = || -> Vec<_> {
+            [&b, &s, &a, &s, &a]
+                .into_iter()
+                .map(|key| {
+                    // Distinct arrival instants, whatever the clock's grain.
+                    std::thread::sleep(Duration::from_millis(1));
+                    queued(&c, key, clean_frame(n))
+                })
+                .collect()
+        };
+        let receivers = queue_all();
+        {
+            let mut st = c.state.lock().unwrap();
+            for (key, frames) in [(&b, 1), (&s, 1), (&a, 2), (&s, 1)] {
+                let batch = Coalescer::take_batch(&mut st).expect("frames are queued");
+                assert_eq!((&batch.key, batch.jobs.len()), (key, frames));
+            }
+            assert!(Coalescer::take_batch(&mut st).is_none());
+        }
+        drop(receivers);
+        // The same queue order through one worker: four words, one of
+        // them two frames wide.
+        let receivers = queue_all();
+        std::thread::scope(|scope| {
+            let c2 = Arc::clone(&c);
+            scope.spawn(move || c2.worker_loop());
+            for rx in receivers {
+                assert!(rx.recv_timeout(Duration::from_secs(10)).unwrap().converged);
+            }
+            c.begin_shutdown();
+        });
+        assert_eq!(c.metrics.batches(), 4);
+        assert_eq!(c.metrics.batch_fill_count(2), 1, "a1 and a2 share a word");
+        assert_eq!(c.metrics.batch_fill_count(1), 3);
+        assert_eq!(c.metrics.frames_decoded(), 5);
+    }
+
+    #[test]
     fn bounded_queue_reports_busy_and_recovers() {
         // No worker running: the queue can only fill.
-        let c = coalescer(Duration::from_millis(1), 2);
+        let c = coalescer(2);
         let (key, n) = c.ensure_key("demo / fixed").unwrap();
-        let _rx1 = match c.enqueue(&key, clean_frame(n)) {
-            Enqueue::Queued(rx) => rx,
-            _ => panic!(),
-        };
-        let _rx2 = match c.enqueue(&key, clean_frame(n)) {
-            Enqueue::Queued(rx) => rx,
-            _ => panic!(),
-        };
+        let _rx1 = queued(&c, &key, clean_frame(n));
+        let _rx2 = queued(&c, &key, clean_frame(n));
         match c.enqueue(&key, clean_frame(n)) {
             Enqueue::Busy { retry_after_us } => assert!(retry_after_us > 0),
             _ => panic!("third frame must bounce off the 2-frame bound"),
@@ -400,17 +464,44 @@ mod tests {
     }
 
     #[test]
+    fn busy_hint_grows_with_the_words_queued_ahead() {
+        // Before any decode is measured the hint is still positive.
+        let c = coalescer(2);
+        assert_eq!(c.retry_after_us(2, 1), 2 * UNMEASURED_WORD_US);
+        // A measured median decode of 800 µs reports its bucket, 1 ms.
+        c.metrics
+            .record_frame_done(Duration::ZERO, Duration::from_micros(800), true);
+        let hint = |queued, word| c.retry_after_us(queued, word);
+        assert_eq!(hint(2, 1), 2_000);
+        assert_eq!(hint(16, 1), 16_000);
+        assert_eq!(hint(16, 8), 2_000, "16 frames are two 8-lane words");
+        assert!(hint(17, 8) > hint(16, 8));
+        // And through the enqueue path, at two queue bounds.
+        let busy_at = |bound| {
+            let c = coalescer(bound);
+            c.metrics
+                .record_frame_done(Duration::ZERO, Duration::from_micros(800), true);
+            let (key, n) = c.ensure_key("demo / fixed").unwrap();
+            let _held: Vec<_> = (0..bound)
+                .map(|_| queued(&c, &key, clean_frame(n)))
+                .collect();
+            match c.enqueue(&key, clean_frame(n)) {
+                Enqueue::Busy { retry_after_us } => retry_after_us,
+                _ => panic!("a full queue must answer BUSY"),
+            }
+        };
+        let (shallow, deep) = (busy_at(2), busy_at(16));
+        assert!(shallow > 0 && deep > shallow, "{shallow} vs {deep}");
+    }
+
+    #[test]
     fn shutdown_drains_queued_frames_then_stops_workers() {
-        // 3 frames in an 8-lane word with a 30 s deadline: neither the
-        // full-word nor the deadline trigger can fire — only the drain.
-        let c = coalescer(Duration::from_secs(30), 1024);
+        // 3 frames held back from the workers: only the drain can send
+        // them on.
+        let c = coalescer(1024);
+        c.hold(true);
         let (key, n) = c.ensure_key("demo / fixed@pack=8").unwrap();
-        let receivers: Vec<_> = (0..3)
-            .map(|_| match c.enqueue(&key, clean_frame(n)) {
-                Enqueue::Queued(rx) => rx,
-                _ => panic!(),
-            })
-            .collect();
+        let receivers: Vec<_> = (0..3).map(|_| queued(&c, &key, clean_frame(n))).collect();
         let worker_exited = AtomicBool::new(false);
         std::thread::scope(|s| {
             let c2 = Arc::clone(&c);
@@ -423,13 +514,9 @@ mod tests {
             for rx in receivers {
                 assert!(rx.recv_timeout(Duration::from_secs(10)).unwrap().converged);
             }
-            assert_eq!(
-                c.metrics.batch_fill_count(3),
-                1,
-                "drain ships a partial word"
-            );
         });
         assert!(worker_exited.load(Ordering::SeqCst));
+        assert_eq!(c.metrics.batch_fill_count(3), 1, "the drain ships all 3");
         assert!(matches!(
             c.enqueue(&key, clean_frame(n)),
             Enqueue::ShuttingDown
@@ -437,8 +524,21 @@ mod tests {
     }
 
     #[test]
+    fn key_map_is_capped() {
+        let c = coalescer(8);
+        for k in 0..MAX_KEYS {
+            c.ensure_key(&format!("demo / nms:{}", 1.0 + k as f64 / 100.0))
+                .unwrap();
+        }
+        let err = c.ensure_key("demo / fixed").unwrap_err();
+        assert!(err.message().contains("64 distinct"), "{}", err.message());
+        // Keys already held still resolve.
+        assert!(c.ensure_key("demo / nms:1").is_ok());
+    }
+
+    #[test]
     fn spec_errors_are_actionable() {
-        let c = coalescer(Duration::from_millis(1), 8);
+        let c = coalescer(8);
         let err = c.ensure_key("c2 / bsc:0.02").unwrap_err();
         assert!(
             err.message().contains("name the decoder"),

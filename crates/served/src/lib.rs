@@ -10,8 +10,8 @@
 //!
 //! ```text
 //!   clients ──▶ connection threads ──▶ per-(code,decoder) queues
-//!                                          │  full word OR deadline
-//!                                          ▼
+//!                                          │  oldest front first, up to
+//!                                          ▼  a word, no timer
 //!                                    worker pool ──▶ BlockDecoder
 //!                                          │        (8/64-lane word)
 //!                                          ▼

@@ -35,8 +35,51 @@ const LATENCY_BOUNDS_US: [u64; 17] = [
     u64::MAX,
 ];
 
-/// Shared serving counters: request totals, batch-fill histogram, and a
-/// log-bucketed enqueue-to-reply latency histogram.
+/// A log-bucketed latency histogram over [`LATENCY_BOUNDS_US`]: one
+/// relaxed atomic add per sample.
+#[derive(Debug)]
+struct Histogram([AtomicU64; LATENCY_BOUNDS_US.len()]);
+
+impl Histogram {
+    fn new() -> Self {
+        Self(std::array::from_fn(|_| AtomicU64::new(0)))
+    }
+
+    fn record(&self, d: Duration) {
+        let us = u64::try_from(d.as_micros()).unwrap_or(u64::MAX);
+        let idx = LATENCY_BOUNDS_US.partition_point(|&b| b < us);
+        self.0[idx.min(LATENCY_BOUNDS_US.len() - 1)].fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Quantile in microseconds, reported as the upper bound of the
+    /// bucket containing it (0 when nothing is recorded; the unbounded
+    /// top bucket reports its lower bound).
+    fn quantile_us(&self, q: f64) -> u64 {
+        let counts: Vec<u64> = self.0.iter().map(|c| c.load(Ordering::Relaxed)).collect();
+        let total: u64 = counts.iter().sum();
+        if total == 0 {
+            return 0;
+        }
+        let rank = ((total as f64) * q).ceil().max(1.0) as u64;
+        let mut seen = 0;
+        for (i, &c) in counts.iter().enumerate() {
+            seen += c;
+            if seen >= rank {
+                return if LATENCY_BOUNDS_US[i] == u64::MAX {
+                    LATENCY_BOUNDS_US[i - 1]
+                } else {
+                    LATENCY_BOUNDS_US[i]
+                };
+            }
+        }
+        LATENCY_BOUNDS_US[LATENCY_BOUNDS_US.len() - 2]
+    }
+}
+
+/// Shared serving counters: request totals, batch-fill histogram, and
+/// log-bucketed histograms of each frame's enqueue-to-reply latency and
+/// of its two parts, queue wait (enqueue until a worker claims the
+/// frame's word) and decode (claim until the word's decode returns).
 #[derive(Debug)]
 pub struct Metrics {
     started: Instant,
@@ -48,7 +91,9 @@ pub struct Metrics {
     frames_rejected_total: AtomicU64,
     batches_total: AtomicU64,
     batch_fill: [AtomicU64; MAX_WORD_LANES],
-    latency: [AtomicU64; LATENCY_BOUNDS_US.len()],
+    latency: Histogram,
+    queue_wait: Histogram,
+    decode: Histogram,
 }
 
 impl Default for Metrics {
@@ -70,7 +115,9 @@ impl Metrics {
             frames_rejected_total: AtomicU64::new(0),
             batches_total: AtomicU64::new(0),
             batch_fill: std::array::from_fn(|_| AtomicU64::new(0)),
-            latency: std::array::from_fn(|_| AtomicU64::new(0)),
+            latency: Histogram::new(),
+            queue_wait: Histogram::new(),
+            decode: Histogram::new(),
         }
     }
 
@@ -94,22 +141,25 @@ impl Metrics {
         self.frames_rejected_total.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Counts one dispatched batch of `fill` frames (1..=`word` lanes).
+    /// Counts one decoded word carrying `fill` frames (1..=`word`
+    /// lanes).
     pub fn record_batch(&self, fill: usize) {
         self.batches_total.fetch_add(1, Ordering::Relaxed);
         let idx = fill.clamp(1, MAX_WORD_LANES) - 1;
         self.batch_fill[idx].fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Counts one decoded frame and its enqueue-to-reply latency.
-    pub fn record_frame_done(&self, latency: Duration, converged: bool) {
+    /// Counts one decoded frame: `queue_wait` from enqueue until a
+    /// worker claimed its word, `decode` from the claim until the word's
+    /// decode returned; its latency is their sum.
+    pub fn record_frame_done(&self, queue_wait: Duration, decode: Duration, converged: bool) {
         self.frames_decoded_total.fetch_add(1, Ordering::Relaxed);
         if converged {
             self.frames_converged_total.fetch_add(1, Ordering::Relaxed);
         }
-        let us = u64::try_from(latency.as_micros()).unwrap_or(u64::MAX);
-        let idx = LATENCY_BOUNDS_US.partition_point(|&b| b < us);
-        self.latency[idx.min(LATENCY_BOUNDS_US.len() - 1)].fetch_add(1, Ordering::Relaxed);
+        self.queue_wait.record(queue_wait);
+        self.decode.record(decode);
+        self.latency.record(queue_wait + decode);
     }
 
     /// Total frames decoded so far.
@@ -127,43 +177,29 @@ impl Metrics {
         self.requests_total.load(Ordering::Relaxed)
     }
 
-    /// Total batches dispatched so far.
+    /// Total words decoded so far.
     pub fn batches(&self) -> u64 {
         self.batches_total.load(Ordering::Relaxed)
     }
 
-    /// How many dispatched batches carried exactly `lanes` frames.
+    /// How many decoded words carried exactly `lanes` frames.
     pub fn batch_fill_count(&self, lanes: usize) -> u64 {
         assert!((1..=MAX_WORD_LANES).contains(&lanes));
         self.batch_fill[lanes - 1].load(Ordering::Relaxed)
     }
 
-    /// Latency quantile in microseconds, reported as the upper bound of
-    /// the histogram bucket containing it (0 when nothing is recorded;
-    /// the unbounded top bucket reports its lower bound).
+    /// Enqueue-to-reply latency quantile in microseconds, reported as
+    /// the upper bound of the histogram bucket containing it (0 when
+    /// nothing is recorded; the unbounded top bucket reports its lower
+    /// bound).
     pub fn latency_quantile_us(&self, q: f64) -> u64 {
-        let counts: Vec<u64> = self
-            .latency
-            .iter()
-            .map(|c| c.load(Ordering::Relaxed))
-            .collect();
-        let total: u64 = counts.iter().sum();
-        if total == 0 {
-            return 0;
-        }
-        let rank = ((total as f64) * q).ceil().max(1.0) as u64;
-        let mut seen = 0;
-        for (i, &c) in counts.iter().enumerate() {
-            seen += c;
-            if seen >= rank {
-                return if LATENCY_BOUNDS_US[i] == u64::MAX {
-                    LATENCY_BOUNDS_US[i - 1]
-                } else {
-                    LATENCY_BOUNDS_US[i]
-                };
-            }
-        }
-        LATENCY_BOUNDS_US[LATENCY_BOUNDS_US.len() - 2]
+        self.latency.quantile_us(q)
+    }
+
+    /// Decode-time quantile in microseconds, bucketed like
+    /// [`latency_quantile_us`](Self::latency_quantile_us).
+    pub(crate) fn decode_quantile_us(&self, q: f64) -> u64 {
+        self.decode.quantile_us(q)
     }
 
     /// Seconds since the server started.
@@ -174,7 +210,11 @@ impl Metrics {
     /// Renders the plaintext `STATS` body. `queue_depths` is the
     /// current per-key queue snapshot `(key, depth, word_lanes)`.
     pub fn render(&self, queue_depths: &[(String, usize, usize)]) -> String {
-        let uptime = self.uptime().as_secs_f64();
+        self.render_at(self.uptime().as_secs_f64(), queue_depths)
+    }
+
+    /// [`render`](Self::render) at a given uptime in seconds.
+    fn render_at(&self, uptime: f64, queue_depths: &[(String, usize, usize)]) -> String {
         let decoded = self.frames_decoded();
         let mut out = String::new();
         let mut line = |s: String| {
@@ -217,14 +257,18 @@ impl Metrics {
                 ));
             }
         }
-        line(format!(
-            "ldpc_served_latency_us{{quantile=\"0.5\"}} {}",
-            self.latency_quantile_us(0.5)
-        ));
-        line(format!(
-            "ldpc_served_latency_us{{quantile=\"0.99\"}} {}",
-            self.latency_quantile_us(0.99)
-        ));
+        for (name, histogram) in [
+            ("latency", &self.latency),
+            ("queue_wait", &self.queue_wait),
+            ("decode", &self.decode),
+        ] {
+            for (label, q) in [("0.5", 0.5), ("0.99", 0.99)] {
+                line(format!(
+                    "ldpc_served_{name}_us{{quantile=\"{label}\"}} {}",
+                    histogram.quantile_us(q)
+                ));
+            }
+        }
         for (key, depth, word) in queue_depths {
             line(format!(
                 "ldpc_served_queue_depth{{key=\"{key}\",word=\"{word}\"}} {depth}"
@@ -246,13 +290,21 @@ mod tests {
         let m = Metrics::new();
         assert_eq!(m.latency_quantile_us(0.5), 0);
         for _ in 0..90 {
-            m.record_frame_done(Duration::from_micros(800), true);
+            m.record_frame_done(Duration::from_micros(300), Duration::from_micros(500), true);
         }
         for _ in 0..10 {
-            m.record_frame_done(Duration::from_micros(40_000), false);
+            m.record_frame_done(
+                Duration::from_micros(39_000),
+                Duration::from_micros(1_000),
+                false,
+            );
         }
         assert_eq!(m.latency_quantile_us(0.5), 1_000);
         assert_eq!(m.latency_quantile_us(0.99), 50_000);
+        assert_eq!(m.queue_wait.quantile_us(0.5), 500);
+        assert_eq!(m.queue_wait.quantile_us(0.99), 50_000);
+        assert_eq!(m.decode_quantile_us(0.5), 500);
+        assert_eq!(m.decode_quantile_us(0.99), 1_000);
         assert_eq!(m.frames_decoded(), 100);
     }
 
@@ -263,24 +315,29 @@ mod tests {
         m.record_enqueued();
         m.record_batch(8);
         m.record_batch(3);
-        m.record_frame_done(Duration::from_micros(100), true);
-        let body = m.render(&[("c2 / fixed@pack=8".into(), 2, 8)]);
-        assert!(
-            body.contains("ldpc_served_batch_fill{lanes=\"8\"} 1"),
-            "{body}"
-        );
-        assert!(
-            body.contains("ldpc_served_batch_fill{lanes=\"3\"} 1"),
-            "{body}"
-        );
-        assert!(
-            body.contains("ldpc_served_queue_depth{key=\"c2 / fixed@pack=8\",word=\"8\"} 2"),
-            "{body}"
-        );
-        assert!(
-            body.contains("ldpc_served_frames_decoded_total 1"),
-            "{body}"
-        );
-        assert!(!body.ends_with('\n'));
+        m.record_frame_done(Duration::from_micros(40), Duration::from_micros(150), true);
+        let body = m.render_at(2.0, &[("c2 / fixed@pack=8".into(), 2, 8)]);
+        let want = [
+            "ldpc_served_uptime_seconds 2.000",
+            "ldpc_served_requests_total 1",
+            "ldpc_served_bad_requests_total 0",
+            "ldpc_served_frames_enqueued_total 1",
+            "ldpc_served_frames_decoded_total 1",
+            "ldpc_served_frames_converged_total 1",
+            "ldpc_served_frames_rejected_total 0",
+            "ldpc_served_batches_total 2",
+            "ldpc_served_frames_per_sec 0.5",
+            "ldpc_served_batch_fill{lanes=\"3\"} 1",
+            "ldpc_served_batch_fill{lanes=\"8\"} 1",
+            "ldpc_served_latency_us{quantile=\"0.5\"} 200",
+            "ldpc_served_latency_us{quantile=\"0.99\"} 200",
+            "ldpc_served_queue_wait_us{quantile=\"0.5\"} 50",
+            "ldpc_served_queue_wait_us{quantile=\"0.99\"} 50",
+            "ldpc_served_decode_us{quantile=\"0.5\"} 200",
+            "ldpc_served_decode_us{quantile=\"0.99\"} 200",
+            "ldpc_served_queue_depth{key=\"c2 / fixed@pack=8\",word=\"8\"} 2",
+        ]
+        .join("\n");
+        assert_eq!(body, want);
     }
 }

@@ -32,9 +32,6 @@ const REPLY_TIMEOUT: Duration = Duration::from_secs(60);
 pub struct ServeConfig {
     /// Bind address, e.g. `"127.0.0.1:7878"` (`:0` picks a free port).
     pub addr: String,
-    /// Latency budget: how long a frame may wait for word-mates before
-    /// a partial word ships.
-    pub max_wait: Duration,
     /// Decode worker threads; `0` means one per available core.
     pub workers: usize,
     /// Iteration cap handed to every decode.
@@ -47,7 +44,6 @@ impl Default for ServeConfig {
     fn default() -> Self {
         Self {
             addr: "127.0.0.1:0".to_string(),
-            max_wait: Duration::from_micros(500),
             workers: 0,
             max_iterations: 18,
             queue_frames: 1024,
@@ -137,7 +133,6 @@ impl Server {
         let listener = TcpListener::bind(&cfg.addr)?;
         let metrics = Arc::new(Metrics::new());
         let coalescer = Arc::new(Coalescer::new(
-            cfg.max_wait,
             cfg.queue_frames,
             cfg.max_iterations,
             Arc::clone(&metrics),
@@ -373,15 +368,11 @@ fn handle_connection(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::client::Client;
+    use crate::client::{Client, ClientError};
     use crate::protocol::Encoding;
 
-    fn demo_server(
-        max_wait: Duration,
-        queue_frames: usize,
-    ) -> (ServerHandle, std::thread::JoinHandle<ServeSummary>) {
+    fn demo_server(queue_frames: usize) -> (ServerHandle, std::thread::JoinHandle<ServeSummary>) {
         let server = Server::bind(ServeConfig {
-            max_wait,
             workers: 1,
             queue_frames,
             ..ServeConfig::default()
@@ -399,7 +390,7 @@ mod tests {
 
     #[test]
     fn decode_ping_stats_shutdown_over_loopback() {
-        let (handle, join) = demo_server(Duration::from_millis(1), 64);
+        let (handle, join) = demo_server(64);
         let mut client = Client::connect(handle.addr()).unwrap();
         client.ping().unwrap();
 
@@ -452,7 +443,7 @@ mod tests {
 
     #[test]
     fn malformed_requests_get_errors_not_disconnects() {
-        let (handle, join) = demo_server(Duration::from_millis(1), 64);
+        let (handle, join) = demo_server(64);
         let mut client = Client::connect(handle.addr()).unwrap();
 
         for (line, want) in [
@@ -484,7 +475,7 @@ mod tests {
     /// abort the server by trying to allocate the lift.
     #[test]
     fn oversized_code_spec_is_an_error_and_the_connection_survives() {
-        let (handle, join) = demo_server(Duration::from_millis(1), 64);
+        let (handle, join) = demo_server(64);
         let mut client = Client::connect(handle.addr()).unwrap();
         let line = "DECODE|ar4ja:r=1/2,k=4000000000 / fixed|llr8-hex|00";
         match client.raw_request(line).unwrap() {
@@ -498,9 +489,10 @@ mod tests {
 
     #[test]
     fn full_queue_answers_busy() {
-        // One worker, 30 s deadline, 8-lane word, 2-frame bound: two
-        // connections park frames in the queue, the third bounces.
-        let (handle, join) = demo_server(Duration::from_secs(30), 2);
+        // One worker held off the queue, 2-frame bound: two connections
+        // park frames in the queue, the third bounces.
+        let (handle, join) = demo_server(2);
+        handle.coalescer.hold(true);
         let n = ldpc_core::codes::small::demo_code().n();
         let addr = handle.addr();
         let spec = "demo / fixed@pack=8";
@@ -541,5 +533,34 @@ mod tests {
         let summary = join.join().unwrap();
         assert_eq!(summary.frames_decoded, 2);
         assert_eq!(summary.frames_rejected, 1);
+    }
+
+    #[test]
+    fn key_cap_is_an_error_and_the_server_keeps_serving() {
+        let (handle, join) = demo_server(64);
+        let mut client = Client::connect(handle.addr()).unwrap();
+        let n = ldpc_core::codes::small::demo_code().n();
+        let spec = |k: usize| format!("demo / nms:{}", 1.0 + k as f64 / 100.0);
+        for k in 0..crate::coalesce::MAX_KEYS {
+            client
+                .decode_llr8(&spec(k), &clean_llr8(n), Encoding::Hex)
+                .unwrap();
+        }
+        let over = spec(crate::coalesce::MAX_KEYS);
+        match client.decode_llr8(&over, &clean_llr8(n), Encoding::Hex) {
+            Err(ClientError::Server { kind, message }) => {
+                assert_eq!(kind, ErrorKind::BadSpec);
+                assert!(message.contains("64 distinct"), "{message}");
+            }
+            other => panic!("key {} -> {other:?}", crate::coalesce::MAX_KEYS + 1),
+        }
+        // A key already held still decodes, and the server answers PING.
+        let frame = client
+            .decode_llr8(&spec(0), &clean_llr8(n), Encoding::Hex)
+            .unwrap();
+        assert!(frame.converged);
+        client.ping().unwrap();
+        handle.shutdown();
+        assert_eq!(join.join().unwrap().frames_decoded, 65);
     }
 }

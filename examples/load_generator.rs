@@ -2,11 +2,11 @@
 //! A12 (EXPERIMENTS.md): the throughput/latency/batch-fill curve of
 //! coalescing, 1 connection vs many.
 //!
-//! With one connection the server degrades to batch-of-1 words (the
-//! latency-budget fallback); with ≥ 64 concurrent in-flight frames the
-//! per-(code, decoder) queues fill whole 8-lane `@pack=8` words and
-//! frames/sec scales with lane fill — the serving mirror of the paper's
-//! 8-frames-in-flight datapath.
+//! With one connection each frame decodes at once in a one-frame word;
+//! with ≥ 64 concurrent in-flight frames the per-(code, decoder) queue
+//! stays deep, each claimed `@pack=8` word carries up to 8 frames, and
+//! frames/sec scales with batch fill — the serving mirror of the
+//! paper's 8-frames-in-flight datapath.
 //!
 //! ```text
 //! cargo run --release --example load_generator -- \
@@ -31,7 +31,6 @@ struct Options {
     ebn0: f64,
     seed: u64,
     addr: Option<String>,
-    max_wait_us: u64,
     workers: usize,
     iters: u32,
     stats: bool,
@@ -46,7 +45,6 @@ fn parse_options() -> Result<Options, String> {
         ebn0: 4.0,
         seed: 1,
         addr: None,
-        max_wait_us: 500,
         workers: 0,
         iters: 18,
         stats: false,
@@ -71,11 +69,6 @@ fn parse_options() -> Result<Options, String> {
             "--ebn0" => opts.ebn0 = value("ebn0")?.parse().map_err(|e| format!("--ebn0: {e}"))?,
             "--seed" => opts.seed = value("seed")?.parse().map_err(|e| format!("--seed: {e}"))?,
             "--addr" => opts.addr = Some(value("addr")?),
-            "--max-wait-us" => {
-                opts.max_wait_us = value("max-wait-us")?
-                    .parse()
-                    .map_err(|e| format!("--max-wait-us: {e}"))?;
-            }
             "--workers" => {
                 opts.workers = value("workers")?
                     .parse()
@@ -210,7 +203,6 @@ fn main() -> Result<(), String> {
         Some(addr) => addr.clone(),
         None => {
             let server = Server::bind(ServeConfig {
-                max_wait: Duration::from_micros(opts.max_wait_us),
                 workers: opts.workers,
                 max_iterations: opts.iters,
                 ..ServeConfig::default()

@@ -21,8 +21,8 @@
 //! * [`sim`] — multithreaded Monte-Carlo BER/PER engine (Figure 4);
 //! * [`ar4ja`] — AR4JA deep-space codes, the paper's stated future work;
 //! * [`served`] — decode-as-a-service: a TCP server coalescing many
-//!   clients' frames into full `@pack`/`@batch`/`@bitslice` words under
-//!   a latency budget (the serving mirror of the paper's
+//!   clients' frames into `@pack`/`@batch`/`@bitslice` words with no
+//!   batching timer (the serving mirror of the paper's
 //!   8-frames-in-flight datapath).
 //!
 //! # Quickstart

@@ -99,7 +99,6 @@ fn serve_workload(addr: std::net::SocketAddr, spec: &str, frames: &[Vec<i8>]) ->
 #[test]
 fn served_counts_are_bit_identical_to_direct_decoding() {
     let server = Server::bind(ServeConfig {
-        max_wait: Duration::from_micros(500),
         max_iterations: ITERS,
         ..ServeConfig::default()
     })
@@ -138,7 +137,6 @@ fn served_hard_decision_bitslice_matches_direct_decoding() {
     // carries packed bits; the reference decodes the same ±HARD_BIT_LLR
     // expansion through scalar gallager-b.
     let server = Server::bind(ServeConfig {
-        max_wait: Duration::from_micros(500),
         max_iterations: ITERS,
         ..ServeConfig::default()
     })
@@ -198,4 +196,60 @@ fn served_hard_decision_bitslice_matches_direct_decoding() {
 
     handle.shutdown();
     join.join().unwrap();
+}
+
+#[test]
+fn staggered_frames_on_two_keys_match_direct_decoding() {
+    // Frames trickle in over several connections, alternating between a
+    // packed key and a batched key with uneven gaps, so words ship with
+    // anywhere from one frame to a full queue and claims alternate
+    // between the keys. None of that may change an answer.
+    let server = Server::bind(ServeConfig {
+        max_iterations: ITERS,
+        ..ServeConfig::default()
+    })
+    .expect("bind port 0");
+    let addr = server.local_addr();
+    let handle = server.handle();
+    let join = std::thread::spawn(move || server.run());
+
+    let specs = ["demo / fixed@pack=8", "demo / nms:1.25@batch=8"];
+    let frames = workload(0x57A6);
+    let mut served: Vec<Option<DecodedFrame>> = vec![None; frames.len()];
+    std::thread::scope(|s| {
+        let handles: Vec<_> = (0..CONNECTIONS)
+            .map(|c| {
+                let frames = &frames;
+                s.spawn(move || {
+                    let mut client = Client::connect(addr).unwrap();
+                    (c..frames.len())
+                        .step_by(CONNECTIONS)
+                        .map(|i| {
+                            std::thread::sleep(Duration::from_micros(150 * ((i * 7 % 5) as u64)));
+                            let frame = client
+                                .decode_llr8(specs[i % 2], &frames[i], Encoding::Hex)
+                                .unwrap();
+                            (i, frame)
+                        })
+                        .collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        for h in handles {
+            for (i, frame) in h.join().unwrap() {
+                served[i] = Some(frame);
+            }
+        }
+    });
+    for (k, spec) in specs.iter().enumerate() {
+        let own: Vec<usize> = (k..frames.len()).step_by(2).collect();
+        let sent: Vec<Vec<i8>> = own.iter().map(|&i| frames[i].clone()).collect();
+        let got: Vec<DecodedFrame> = own.iter().map(|&i| served[i].clone().unwrap()).collect();
+        assert_matches_reference(spec, &sent, &got);
+    }
+
+    handle.shutdown();
+    let summary = join.join().unwrap();
+    assert_eq!(summary.frames_decoded, frames.len() as u64);
+    assert_eq!(summary.frames_rejected, 0);
 }

@@ -21,11 +21,15 @@
 //! A packet-loss run (`run_point_packets`) pins the tentpole workload
 //! end to end: 16-packet C2 frames over `erasure:0.05`, peeling, zero
 //! frame errors. The single-threaded loop is fully deterministic, so
-//! the emitted CSV is byte-reproducible; its FNV-1a fingerprint and the
-//! measured rows go to `BENCH_A13.json` at the workspace root.
+//! the emitted CSV is byte-reproducible. Its FNV-1a fingerprint must
+//! equal [`CSV_FNV1A`] — the value EXPERIMENTS.md records — before
+//! anything is timed, which pins random-codeword encoding (every
+//! codeword of the grid) end to end. The fingerprint, the measured rows
+//! and the build provenance go to `BENCH_A13.json` at the workspace
+//! root.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use ldpc_bench::announce;
+use ldpc_bench::{announce, build_json};
 use ldpc_channel::ChannelSpec;
 use ldpc_core::codes::ccsds_c2;
 use ldpc_core::DecoderSpec;
@@ -38,6 +42,8 @@ const MAX_ITERATIONS: u32 = 50;
 const CHANNEL_SEED: u64 = 0x2009_0413;
 const MESSAGE_SEED: u64 = 0xA13 ^ 0x2009_0413;
 const PACKET_SYMBOLS: usize = 511;
+/// The recorded fingerprint of the grid's CSV (EXPERIMENTS.md A13).
+const CSV_FNV1A: u64 = 0xc83c_dd5c_3d84_33ce;
 
 /// The measured grid: every erasure rate × both decoders, plus the mild
 /// burst operating point (capacity above C2's 0.875 rate) where the
@@ -164,6 +170,10 @@ fn regenerate_a13() -> (Vec<Row>, String, u64) {
     print!("{csv}");
     let fingerprint = fnv1a(csv.as_bytes());
     println!("  csv fnv1a fingerprint: {fingerprint:016x}");
+    assert_eq!(
+        fingerprint, CSV_FNV1A,
+        "A13's CSV changed: the encoder, channel or decoders no longer reproduce the recorded grid"
+    );
 
     let cell = |ch: &str, d: &str| {
         rows.iter()
@@ -271,7 +281,9 @@ fn write_json(rows: &[Row], fingerprint: u64, packets: (u64, u64, u64, f64)) {
          \"packet_workload\": {{\"scenario\": \"c2 / erasure:0.05 / peeling\", \
          \"packet_symbols\": {PACKET_SYMBOLS}, \"packets\": {pkt_sent}, \
          \"dropped\": {pkt_dropped}, \"loss_rate\": {pkt_rate:.4}, \
-         \"frame_errors\": {pkt_fe}}},\n  \"rows\": [\n{row_json}\n  ]\n}}\n"
+         \"frame_errors\": {pkt_fe}}},\n  \"rows\": [\n{row_json}\n  ],\n  \
+         \"build\": {build}\n}}\n",
+        build = build_json(),
     );
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_A13.json");
     std::fs::write(path, json).expect("write BENCH_A13.json");

@@ -11,7 +11,7 @@
 //! is >= 3x frames/sec over both `layered` and `fixed`.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use ldpc_bench::{announce, frames_per_sec, noisy_frames};
+use ldpc_bench::{announce, build_json, frames_per_sec, noisy_frames};
 use ldpc_core::codes::{ccsds_c2, small::demo_code};
 use ldpc_core::{decode_frames, FixedConfig, FixedDecoder, LayeredMinSumDecoder, QcLayeredDecoder};
 use ldpc_hwsim::MessageBankLayout;
@@ -104,7 +104,7 @@ fn write_json(n: &A9Numbers) {
             .join(", ")
     };
     let json = format!(
-        "{{\n  \"experiment\": \"A9\",\n  \"code\": \"c2\",\n  \"channel\": \"awgn\",\n  \"ebn0_db\": 4.0,\n  \"iterations\": {iters},\n  \"frames\": {frames},\n  \"frames_per_sec\": {{\"layered\": {layered:.1}, \"fixed\": {fixed:.1}, \"qc-layered\": {qc:.1}}},\n  \"speedup\": {{\"vs_layered\": {su_l:.2}, \"vs_fixed\": {su_f:.2}}},\n  \"traffic_per_iteration\": {{\n    \"qc\": [{qc_banks}],\n    \"generic\": [{generic_banks}],\n    \"total_words\": {{\"qc\": {qc_words}, \"generic\": {generic_words}}},\n    \"total_bursts\": {{\"qc\": {qc_bursts}, \"generic\": {generic_bursts}}}\n  }}\n}}\n",
+        "{{\n  \"experiment\": \"A9\",\n  \"code\": \"c2\",\n  \"channel\": \"awgn\",\n  \"ebn0_db\": 4.0,\n  \"iterations\": {iters},\n  \"frames\": {frames},\n  \"frames_per_sec\": {{\"layered\": {layered:.1}, \"fixed\": {fixed:.1}, \"qc-layered\": {qc:.1}}},\n  \"speedup\": {{\"vs_layered\": {su_l:.2}, \"vs_fixed\": {su_f:.2}}},\n  \"traffic_per_iteration\": {{\n    \"qc\": [{qc_banks}],\n    \"generic\": [{generic_banks}],\n    \"total_words\": {{\"qc\": {qc_words}, \"generic\": {generic_words}}},\n    \"total_bursts\": {{\"qc\": {qc_bursts}, \"generic\": {generic_bursts}}}\n  }},\n  \"build\": {build}\n}}\n",
         iters = ITERS,
         frames = n.frames,
         layered = n.layered_fps,
@@ -114,6 +114,7 @@ fn write_json(n: &A9Numbers) {
         su_f = n.qc_fps / n.fixed_fps,
         qc_banks = bank(&traffic.qc),
         generic_banks = bank(&traffic.generic),
+        build = build_json(),
     );
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_A9.json");
     std::fs::write(path, json).expect("write BENCH_A9.json");

@@ -10,7 +10,7 @@
 //! EXPERIMENTS.md can consume them machine-readably.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use ldpc_bench::announce;
+use ldpc_bench::{announce, build_json};
 use ldpc_sim::{run_sweep, sweep_grid, Scenario, SweepConfig, SweepUnitResult};
 use std::path::PathBuf;
 use std::time::Instant;
@@ -125,8 +125,12 @@ fn write_json(n: &A11Numbers) {
          \"chunk_frames\": {CHUNK_FRAMES},\n  \"max_frames\": {MAX_FRAMES},\n  \
          \"cold\": {{\"seconds\": {:.2}, \"frames_simulated\": {}}},\n  \
          \"warm\": {{\"seconds\": {:.3}, \"frames_simulated\": {}}},\n  \
-         \"points\": [\n{points}\n  ]\n}}\n",
-        n.cold_secs, n.cold_simulated, n.warm_secs, n.warm_simulated,
+         \"points\": [\n{points}\n  ],\n  \"build\": {}\n}}\n",
+        n.cold_secs,
+        n.cold_simulated,
+        n.warm_secs,
+        n.warm_simulated,
+        build_json(),
     );
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_SWEEP.json");
     std::fs::write(path, json).expect("write BENCH_SWEEP.json");

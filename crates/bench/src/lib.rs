@@ -11,7 +11,7 @@
 
 use gf2::BitVec;
 use ldpc_channel::AwgnChannel;
-use ldpc_core::codes::small::demo_code;
+use ldpc_core::codes::{ccsds_c2, small::demo_code};
 use ldpc_core::{LdpcCode, PackedFixedDecoder};
 use ldpc_sim::{MonteCarloConfig, Transmission};
 use std::sync::Arc;
@@ -74,9 +74,10 @@ pub fn frames_per_sec(total_frames: usize, mut run: impl FnMut()) -> f64 {
 /// of its `BENCH_*.json`: cargo features (the workspace crates define
 /// none, so the list is empty), whether a vector tier of the packed
 /// decoder runs on this host and which (`"avx2"`, `"sse4.1"` or
-/// `"portable"`), the target architecture, and the checkout's git
-/// revision (`-dirty` with uncommitted changes, `unknown` outside a git
-/// checkout).
+/// `"portable"`), the form the C2 encoder took (`"clmul"` or
+/// `"columns"`, see [`ldpc_core::Encoder::form`]), the target architecture, and
+/// the checkout's git revision (`-dirty` with uncommitted changes,
+/// `unknown` outside a git checkout).
 pub fn build_json() -> String {
     let rev = std::process::Command::new("git")
         .args(["describe", "--always", "--dirty", "--abbrev=12"])
@@ -88,9 +89,10 @@ pub fn build_json() -> String {
         .map(|rev| rev.trim().to_string())
         .unwrap_or_else(|| "unknown".to_string());
     format!(
-        "{{\"features\": [], \"simd_active\": {}, \"simd_tier\": \"{}\", \"target_arch\": \"{}\", \"git_rev\": \"{rev}\"}}",
+        "{{\"features\": [], \"simd_active\": {}, \"simd_tier\": \"{}\", \"encoder_form\": \"{}\", \"target_arch\": \"{}\", \"git_rev\": \"{rev}\"}}",
         PackedFixedDecoder::simd_active(),
         PackedFixedDecoder::simd_tier(),
+        ccsds_c2::encoder().form(),
         std::env::consts::ARCH,
     )
 }
@@ -119,6 +121,7 @@ mod tests {
             "features",
             "simd_active",
             "simd_tier",
+            "encoder_form",
             "target_arch",
             "git_rev",
         ] {

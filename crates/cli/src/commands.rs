@@ -100,9 +100,11 @@ COMMANDS:
                             @pack/@batch/@bitslice words with no batching
                             timer: an idle worker claims whatever a key
                             has queued, up to a full word, so a lone
-                            frame decodes at once. Drains gracefully
-                            on ctrl-c / SIGTERM / a SHUTDOWN request.
-                            Default 127.0.0.1:7878
+                            frame decodes at once. Serves at most {conns}
+                            connections at once; one more gets a BUSY
+                            line naming the cap and is closed. Drains
+                            gracefully on ctrl-c / SIGTERM / a SHUTDOWN
+                            request. Default 127.0.0.1:7878
   plan --mbps X [--iters N] [--clock MHZ]
                             pick the cheapest architecture meeting a rate
   tables                    print the paper's Tables 1-3 from the models
@@ -131,6 +133,7 @@ DECODER SPECS (simulate --decoder / sweep --decoders):
 The full grammar and copy-pasteable recipes live in docs/scenarios.md.
 ",
         chunk = SweepConfig::default().chunk_frames,
+        conns = ldpc_served::MAX_CONNECTIONS,
         codes = CodeSpec::family_names().join(", "),
         channels = ChannelSpec::family_names().join(", "),
         families = DecoderSpec::family_names().join(", ")

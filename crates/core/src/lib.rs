@@ -11,7 +11,8 @@
 //!   built from a 2×16 array of 511×511 circulants of row weight two.
 //! * [`TannerGraph`] — the bipartite bit-node / check-node graph with the
 //!   edge-indexed message layout used by every decoder.
-//! * [`Encoder`] — systematic encoding via reduced row-echelon form of H.
+//! * [`Encoder`] — systematic encoding via reduced row-echelon form of H,
+//!   by circulant products for quasi-cyclic codes.
 //! * [`decoder`] — the decoder family: floating-point sum-product
 //!   ([`SumProductDecoder`]), normalized/offset min-sum ([`MinSumDecoder`]),
 //!   the bit-accurate fixed-point datapath of the paper's FPGA architecture
@@ -34,7 +35,8 @@
 //! ```
 
 // The crate is `unsafe`-free except for the x86_64 vector tiers of the
-// packed SWAR datapath (`decoder/packed/sse.rs` and `avx2.rs`), whose
+// packed SWAR datapath (`decoder/packed/sse.rs` and `avx2.rs`) and the
+// encoder's carry-less multiply kernel (`encoder/clmul.rs`), whose
 // intrinsics modules carry the only scoped `allow`s — hence `deny`,
 // not `forbid`.
 #![deny(unsafe_code)]

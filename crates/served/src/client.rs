@@ -23,6 +23,9 @@ pub enum ClientError {
         /// Server-provided detail.
         message: String,
     },
+    /// The server refused the connection (`BUSY` with a reason: its
+    /// connection cap is reached) and closed it.
+    Refused(String),
     /// The server stayed `BUSY` through every retry.
     StillBusy {
         /// How many attempts were made.
@@ -36,6 +39,7 @@ impl fmt::Display for ClientError {
             Self::Io(e) => write!(f, "socket error: {e}"),
             Self::Protocol(m) => write!(f, "protocol error: {m}"),
             Self::Server { kind, message } => write!(f, "server error ({kind}): {message}"),
+            Self::Refused(reason) => write!(f, "connection refused: {reason}"),
             Self::StillBusy { attempts } => {
                 write!(f, "server still busy after {attempts} attempts")
             }
@@ -150,6 +154,10 @@ impl Client {
         let resp = self.raw_request(&protocol::render_request(req))?;
         match resp {
             Response::Error { kind, message } => Err(ClientError::Server { kind, message }),
+            Response::Busy {
+                reason: Some(reason),
+                ..
+            } => Err(ClientError::Refused(reason)),
             other => Ok(other),
         }
     }
@@ -159,7 +167,8 @@ impl Client {
     ///
     /// # Errors
     ///
-    /// `ERR` responses become [`ClientError::Server`].
+    /// `ERR` responses become [`ClientError::Server`], and a refused
+    /// connection [`ClientError::Refused`].
     pub fn decode_llr8_once(
         &mut self,
         spec: &str,
@@ -188,7 +197,7 @@ impl Client {
             })?;
             match resp {
                 Response::Decoded(frame) => return Ok(frame),
-                Response::Busy { retry_after_us } => {
+                Response::Busy { retry_after_us, .. } => {
                     if attempt == MAX_ATTEMPTS {
                         break;
                     }

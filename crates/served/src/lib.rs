@@ -54,5 +54,5 @@ mod signals;
 pub use client::{Client, ClientError};
 pub use metrics::Metrics;
 pub use protocol::{DecodedFrame, Encoding, ErrorKind, Payload, Request, Response};
-pub use server::{ServeConfig, ServeSummary, Server, ServerHandle};
+pub use server::{ServeConfig, ServeSummary, Server, ServerHandle, MAX_CONNECTIONS};
 pub use signals::shutdown_flag;

@@ -89,6 +89,7 @@ pub struct Metrics {
     frames_decoded_total: AtomicU64,
     frames_converged_total: AtomicU64,
     frames_rejected_total: AtomicU64,
+    connections_refused_total: AtomicU64,
     batches_total: AtomicU64,
     batch_fill: [AtomicU64; MAX_WORD_LANES],
     latency: Histogram,
@@ -113,6 +114,7 @@ impl Metrics {
             frames_decoded_total: AtomicU64::new(0),
             frames_converged_total: AtomicU64::new(0),
             frames_rejected_total: AtomicU64::new(0),
+            connections_refused_total: AtomicU64::new(0),
             batches_total: AtomicU64::new(0),
             batch_fill: std::array::from_fn(|_| AtomicU64::new(0)),
             latency: Histogram::new(),
@@ -139,6 +141,12 @@ impl Metrics {
     /// Counts one frame refused with `BUSY`.
     pub fn record_rejected(&self) {
         self.frames_rejected_total.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Counts one connection refused at the connection cap.
+    pub fn record_connection_refused(&self) {
+        self.connections_refused_total
+            .fetch_add(1, Ordering::Relaxed);
     }
 
     /// Counts one decoded word carrying `fill` frames (1..=`word`
@@ -240,6 +248,10 @@ impl Metrics {
             "ldpc_served_frames_rejected_total {}",
             self.frames_rejected_total.load(Ordering::Relaxed)
         ));
+        line(format!(
+            "ldpc_served_connections_refused_total {}",
+            self.connections_refused_total.load(Ordering::Relaxed)
+        ));
         line(format!("ldpc_served_batches_total {}", self.batches()));
         line(format!(
             "ldpc_served_frames_per_sec {:.1}",
@@ -325,6 +337,7 @@ mod tests {
             "ldpc_served_frames_decoded_total 1",
             "ldpc_served_frames_converged_total 1",
             "ldpc_served_frames_rejected_total 0",
+            "ldpc_served_connections_refused_total 0",
             "ldpc_served_batches_total 2",
             "ldpc_served_frames_per_sec 0.5",
             "ldpc_served_batch_fill{lanes=\"3\"} 1",

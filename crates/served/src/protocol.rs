@@ -35,7 +35,7 @@
 //!
 //! ```text
 //!   OK|<iterations>|<converged 0/1>|<bit_len>|<hex packed bits>
-//!   BUSY|<retry_after_us>
+//!   BUSY|<retry_after_us>[|<reason>]
 //!   ERR|<kind>|<message>
 //!   PONG
 //!   BYE
@@ -177,10 +177,14 @@ impl DecodedFrame {
 pub enum Response {
     /// A decoded frame.
     Decoded(DecodedFrame),
-    /// Queue full — retry after roughly this many microseconds.
+    /// Queue full — retry after roughly this many microseconds. With a
+    /// reason, the server refused the whole connection (its connection
+    /// cap is reached) and closes it after this line.
     Busy {
         /// Suggested client backoff in microseconds.
         retry_after_us: u64,
+        /// Why the connection was refused; `None` for a full queue.
+        reason: Option<String>,
     },
     /// The request failed.
     Error {
@@ -506,7 +510,17 @@ pub fn render_response(resp: &Response) -> String {
             f.bit_len,
             hex_encode(&f.bits)
         ),
-        Response::Busy { retry_after_us } => format!("BUSY|{retry_after_us}"),
+        Response::Busy {
+            retry_after_us,
+            reason: None,
+        } => format!("BUSY|{retry_after_us}"),
+        Response::Busy {
+            retry_after_us,
+            reason: Some(reason),
+        } => format!(
+            "BUSY|{retry_after_us}|{}",
+            reason.replace(['\n', '\r'], " ")
+        ),
         Response::Error { kind, message } => {
             format!("ERR|{kind}|{}", message.replace(['\n', '\r'], " "))
         }
@@ -577,13 +591,19 @@ pub fn parse_response(text: &str) -> Result<Response, ProtocolError> {
             }))
         }
         "BUSY" => {
-            let (Some(us), None) = (fields.next(), fields.next()) else {
-                return Err(err("BUSY takes `BUSY|<retry_after_us>`"));
+            let Some(us) = fields.next() else {
+                return Err(err("BUSY takes `BUSY|<retry_after_us>[|<reason>]`"));
             };
             let retry_after_us = us
                 .parse()
                 .map_err(|_| err(format!("bad retry-after {us:?}")))?;
-            Ok(Response::Busy { retry_after_us })
+            // The reason may itself contain `|`: re-join the rest.
+            let rest: Vec<&str> = fields.collect();
+            let reason = (!rest.is_empty()).then(|| rest.join("|"));
+            Ok(Response::Busy {
+                retry_after_us,
+                reason,
+            })
         }
         "ERR" => {
             // The message may itself contain `|`: re-join everything
@@ -682,6 +702,11 @@ mod tests {
             }),
             Response::Busy {
                 retry_after_us: 1500,
+                reason: None,
+            },
+            Response::Busy {
+                retry_after_us: 100_000,
+                reason: Some("connection cap of 1024 reached | retry later".into()),
             },
             Response::Error {
                 kind: ErrorKind::BadSpec,

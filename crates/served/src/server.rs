@@ -4,7 +4,10 @@
 //! No async runtime is involved (none is vendored): concurrency is the
 //! classic thread-per-connection model, which is exactly what the
 //! coalescer wants — many independent blocked requests are what fill
-//! packed words. All threads live inside one [`std::thread::scope`] in
+//! packed words. At most [`MAX_CONNECTIONS`] connections are served at
+//! once; the accept loop answers one over the cap with a single `BUSY`
+//! line naming the cap and closes it, so a connection flood costs no
+//! threads. All threads live inside one [`std::thread::scope`] in
 //! [`Server::run`], so a graceful shutdown is a plain structured join:
 //! stop accepting, refuse new frames, drain the queues, answer the
 //! in-flight requests, return.
@@ -15,7 +18,7 @@ use crate::protocol::{self, ErrorKind, Payload, Request, Response, MAX_LINE_BYTE
 use std::fmt;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -26,6 +29,16 @@ const POLL_INTERVAL: Duration = Duration::from_millis(100);
 /// How long a connection waits for its frame to come back from the
 /// worker pool before reporting an internal error.
 const REPLY_TIMEOUT: Duration = Duration::from_secs(60);
+
+/// Most connections served at once. Each one holds a thread; a
+/// connection over the cap gets one `BUSY` line naming the cap and is
+/// closed, and a slot frees when its connection ends. Far above the
+/// tens of connections that fill every packed word.
+pub const MAX_CONNECTIONS: usize = 1024;
+
+/// Backoff hint of a refused connection, in microseconds (one poll
+/// interval).
+const REFUSED_RETRY_US: u64 = 100_000;
 
 /// Configuration of one serving process.
 #[derive(Debug, Clone)]
@@ -120,6 +133,7 @@ pub struct Server {
     metrics: Arc<Metrics>,
     cfg: ServeConfig,
     stop: Arc<AtomicBool>,
+    max_connections: usize,
 }
 
 impl Server {
@@ -143,7 +157,16 @@ impl Server {
             metrics,
             cfg,
             stop: Arc::new(AtomicBool::new(false)),
+            max_connections: MAX_CONNECTIONS,
         })
+    }
+
+    /// The same server with a smaller connection cap, so tests open
+    /// only cap + 1 sockets.
+    #[cfg(test)]
+    fn with_max_connections(mut self, cap: usize) -> Self {
+        self.max_connections = cap;
+        self
     }
 
     /// The actually-bound address.
@@ -179,6 +202,9 @@ impl Server {
         };
         let coalescer = &self.coalescer;
         let metrics = &self.metrics;
+        // Only this loop takes a slot, so the check below cannot race
+        // past the cap; connection threads give theirs back as they end.
+        let open = &AtomicUsize::new(0);
         std::thread::scope(|s| {
             for _ in 0..workers {
                 s.spawn(move || coalescer.worker_loop());
@@ -189,9 +215,16 @@ impl Server {
                         if handle.stopped() {
                             break;
                         }
+                        if open.load(Ordering::Acquire) >= self.max_connections {
+                            metrics.record_connection_refused();
+                            refuse_connection(stream, self.max_connections);
+                            continue;
+                        }
+                        open.fetch_add(1, Ordering::AcqRel);
                         let conn_handle = handle.clone();
                         s.spawn(move || {
                             handle_connection(stream, coalescer, metrics, &conn_handle);
+                            open.fetch_sub(1, Ordering::AcqRel);
                         });
                     }
                     Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
@@ -213,6 +246,23 @@ impl Server {
             uptime_ms: u64::try_from(self.metrics.uptime().as_millis()).unwrap_or(u64::MAX),
         }
     }
+}
+
+/// Answers a connection over the cap with one `BUSY` line naming the
+/// cap, then closes it. Runs on the accept loop: the line fits the
+/// socket's send buffer, and the write timeout bounds the rest.
+fn refuse_connection(mut stream: TcpStream, cap: usize) {
+    let _ = stream.set_write_timeout(Some(POLL_INTERVAL));
+    let resp = Response::Busy {
+        retry_after_us: REFUSED_RETRY_US,
+        reason: Some(format!(
+            "connection cap of {cap} reached; retry after another connection closes"
+        )),
+    };
+    let mut wire = protocol::render_response(&resp);
+    wire.push('\n');
+    let _ = stream.write_all(wire.as_bytes());
+    let _ = stream.shutdown(std::net::Shutdown::Write);
 }
 
 fn error_response(kind: ErrorKind, message: impl Into<String>) -> Response {
@@ -265,7 +315,10 @@ fn handle_decode(coalescer: &Coalescer, spec: &str, payload: &Payload) -> Respon
                 "decode worker did not answer within the reply timeout",
             ),
         },
-        Enqueue::Busy { retry_after_us } => Response::Busy { retry_after_us },
+        Enqueue::Busy { retry_after_us } => Response::Busy {
+            retry_after_us,
+            reason: None,
+        },
         Enqueue::ShuttingDown => {
             error_response(ErrorKind::ShuttingDown, "server is draining; no new frames")
         }
@@ -520,7 +573,10 @@ mod tests {
             .decode_llr8_once(spec, &clean_llr8(n), Encoding::Hex)
             .unwrap();
         match resp {
-            Response::Busy { retry_after_us } => assert!(retry_after_us > 0),
+            Response::Busy {
+                retry_after_us,
+                reason: None,
+            } => assert!(retry_after_us > 0),
             other => panic!("expected BUSY, got {other:?}"),
         }
 
@@ -533,6 +589,71 @@ mod tests {
         let summary = join.join().unwrap();
         assert_eq!(summary.frames_decoded, 2);
         assert_eq!(summary.frames_rejected, 1);
+    }
+
+    #[test]
+    fn connection_cap_answers_busy_and_the_server_keeps_serving() {
+        let server = Server::bind(ServeConfig {
+            workers: 1,
+            ..ServeConfig::default()
+        })
+        .expect("bind port 0")
+        .with_max_connections(2);
+        let handle = server.handle();
+        let join = std::thread::spawn(move || server.run());
+        let addr = handle.addr();
+        // Two admitted connections, proven served before the third
+        // arrives.
+        let mut admitted: Vec<Client> = (0..2)
+            .map(|_| {
+                let mut c = Client::connect(addr).unwrap();
+                c.ping().unwrap();
+                c
+            })
+            .collect();
+        // The third gets one BUSY line naming the cap, then end of stream.
+        let mut over = TcpStream::connect(addr).unwrap();
+        over.set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        let mut reply = String::new();
+        over.read_to_string(&mut reply).unwrap();
+        match protocol::parse_response(reply.trim_end()).unwrap() {
+            Response::Busy {
+                retry_after_us,
+                reason: Some(reason),
+            } => {
+                assert!(retry_after_us > 0);
+                assert!(reason.contains("connection cap of 2"), "{reason}");
+            }
+            other => panic!("expected a connection-level BUSY, got {other:?}"),
+        }
+        // The admitted connections still answer, and a closed one frees
+        // its slot.
+        admitted[0].ping().unwrap();
+        admitted.pop();
+        // (Until the server sees the close, a new connection is refused
+        // too; a refusal can also surface as a reset, when the PING
+        // reaches the server before it closes the socket.)
+        let mut refused = 1;
+        let mut next = None;
+        for _ in 0..200 {
+            let mut c = Client::connect(addr).unwrap();
+            match c.ping() {
+                Ok(()) => {
+                    next = Some(c);
+                    break;
+                }
+                Err(ClientError::Refused(_) | ClientError::Io(_)) => refused += 1,
+                Err(e) => panic!("a retry must be admitted or refused, got {e}"),
+            }
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        let mut next = next.expect("a freed slot admits a new connection");
+        let stats = next.stats().unwrap();
+        let want = format!("ldpc_served_connections_refused_total {refused}");
+        assert!(stats.contains(&want), "{stats}");
+        handle.shutdown();
+        join.join().unwrap();
     }
 
     #[test]

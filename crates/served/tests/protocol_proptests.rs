@@ -75,8 +75,10 @@ proptest! {
         message in arb_spec(),
         stats_lines in prop::collection::vec(arb_spec(), 0..8),
     ) {
-        let busy = Response::Busy { retry_after_us };
+        let busy = Response::Busy { retry_after_us, reason: None };
         prop_assert_eq!(parse_response(&render_response(&busy)).unwrap(), busy);
+        let refused = Response::Busy { retry_after_us, reason: Some(message.clone()) };
+        prop_assert_eq!(parse_response(&render_response(&refused)).unwrap(), refused);
 
         let kind = [
             ErrorKind::BadRequest,
